@@ -17,16 +17,13 @@
 //!   `{"metrics":{...}}` object `usd_run --metrics` prints on stdout; the
 //!   metrics object must be present and non-empty.
 //! * `--run` — a run/ensemble summary JSON (the `--output` document of an
-//!   ensemble run) that must embed a non-empty `"metrics"` object, and
-//!   whose deprecated flat aliases (`shared_*`, `maintenance`) must equal
-//!   the snapshot's canonical values — the aliases are derived from the
-//!   snapshot, so a disagreement is a reporting bug, not formatting drift.
+//!   ensemble run) that must embed a non-empty `"metrics"` object.
 //!
 //! Exits 0 when every given artifact passes, 1 with a diagnostic per
 //! failure otherwise.  At least one artifact flag is required.
 
+use pp_core::json::Json;
 use std::process::ExitCode;
-use usd_experiments::trend::{parse_json, Json};
 
 struct Options {
     trace: Option<String>,
@@ -86,7 +83,7 @@ struct CompleteEvent {
 /// Validates a chrome-trace document: required fields on every complete
 /// event, at least `min_tids` distinct tracks, and proper nesting per track.
 fn check_trace(text: &str, min_tids: usize) -> Result<String, String> {
-    let doc = parse_json(text)?;
+    let doc = Json::parse(text)?;
     let events = doc
         .get("traceEvents")
         .and_then(Json::as_array)
@@ -179,58 +176,6 @@ fn check_metrics_object(doc: &Json) -> Result<String, String> {
     }
 }
 
-/// Validates a run/ensemble summary document: the embedded `"metrics"`
-/// snapshot must be non-empty, and every deprecated flat alias present in
-/// the document (`shared_hits`, `shared_misses`, `shared_derived`,
-/// `shared_reuse`, the `maintenance` object) must equal the canonical
-/// value inside the snapshot.  An absent snapshot counter reads as 0, the
-/// same default the alias writer uses.
-fn check_run_document(doc: &Json) -> Result<String, String> {
-    let detail = check_metrics_object(doc)?;
-    let metric = |name: &str| {
-        doc.get("metrics")
-            .and_then(|m| m.get(name))
-            .and_then(Json::as_f64)
-    };
-    let mut aliases = 0usize;
-    for (flat, canonical) in [
-        ("shared_hits", "ensemble.shared_hits"),
-        ("shared_misses", "ensemble.shared_misses"),
-        ("shared_derived", "ensemble.shared_derived"),
-        ("shared_reuse", "ensemble.shared_reuse_fraction"),
-    ] {
-        let Some(value) = doc.get(flat).and_then(Json::as_f64) else {
-            continue;
-        };
-        let snapshot = metric(canonical).unwrap_or(0.0);
-        if value != snapshot {
-            return Err(format!(
-                "flat alias {flat:?} = {value} disagrees with metrics {canonical:?} = {snapshot}"
-            ));
-        }
-        aliases += 1;
-    }
-    if let Some(Json::Obj(pairs)) = doc.get("maintenance") {
-        for (key, value) in pairs {
-            let Some(value) = value.as_f64() else {
-                return Err(format!("maintenance alias {key:?} is not a number"));
-            };
-            let canonical = format!("maintenance.{key}");
-            let snapshot = metric(&canonical).unwrap_or(0.0);
-            if value != snapshot {
-                return Err(format!(
-                    "flat alias \"maintenance\".{key} = {value} disagrees with metrics \
-                     {canonical:?} = {snapshot}"
-                ));
-            }
-            aliases += 1;
-        }
-    }
-    Ok(format!(
-        "{detail}; {aliases} flat aliases match the snapshot"
-    ))
-}
-
 /// Validates a `--metrics` capture: the last non-empty line must be the
 /// `{"metrics":{...}}` object (tolerates stray preceding stdout lines).
 fn check_metrics_file(text: &str) -> Result<String, String> {
@@ -239,7 +184,7 @@ fn check_metrics_file(text: &str) -> Result<String, String> {
         .rev()
         .find(|l| !l.trim().is_empty())
         .ok_or("metrics file is empty")?;
-    check_metrics_object(&parse_json(line)?)
+    check_metrics_object(&Json::parse(line)?)
 }
 
 fn main() -> ExitCode {
@@ -279,7 +224,7 @@ fn main() -> ExitCode {
         check(
             "run",
             path,
-            read(path).and_then(|text| check_run_document(&parse_json(&text)?)),
+            read(path).and_then(|text| check_metrics_object(&Json::parse(&text)?)),
         );
     }
     if failures > 0 {
@@ -344,52 +289,9 @@ mod tests {
         assert!(check_metrics_file("{\"metrics\":{\"a\":1}}\nnoise\n").is_err());
         assert!(check_metrics_file("{\"metrics\":{}}").is_err());
         assert!(check_metrics_file("").is_err());
-        let run = parse_json(r#"{"tool":"usd_run","metrics":{"shard.epochs":3}}"#).unwrap();
+        let run = Json::parse(r#"{"tool":"usd_run","metrics":{"shard.epochs":3}}"#).unwrap();
         assert!(check_metrics_object(&run).is_ok());
-        let bare = parse_json(r#"{"tool":"usd_run"}"#).unwrap();
+        let bare = Json::parse(r#"{"tool":"usd_run"}"#).unwrap();
         assert!(check_metrics_object(&bare).is_err());
-    }
-
-    #[test]
-    fn matching_flat_aliases_pass_the_run_check() {
-        let doc = parse_json(
-            r#"{"metrics":{"ensemble.shared_hits":7,"ensemble.shared_misses":3,
-                "ensemble.shared_reuse_fraction":0.7,"maintenance.rows_patched":12,
-                "maintenance.law_fallback_rebuilds":2},
-                "shared_hits":7,"shared_misses":3,"shared_reuse":0.7,"shared_derived":0,
-                "maintenance":{"rows_patched":12,"law_fallback_rebuilds":2,"law_rebuilds":0}}"#,
-        )
-        .unwrap();
-        let detail = check_run_document(&doc).unwrap();
-        assert!(detail.contains("7 flat aliases match"), "{detail}");
-        // A document without aliases (single-run summaries) still passes —
-        // only aliases that are present must agree.
-        let plain = parse_json(r#"{"metrics":{"shard.epochs":3}}"#).unwrap();
-        assert!(check_run_document(&plain)
-            .unwrap()
-            .contains("0 flat aliases"));
-    }
-
-    #[test]
-    fn drifting_flat_aliases_fail_the_run_check() {
-        let shared =
-            parse_json(r#"{"metrics":{"ensemble.shared_hits":7},"shared_hits":8}"#).unwrap();
-        let err = check_run_document(&shared).unwrap_err();
-        assert!(
-            err.contains("shared_hits") && err.contains("disagrees"),
-            "{err}"
-        );
-        // The maintenance object is compared key by key against the
-        // dotted counters, including the fallback-rebuild split.
-        let maintenance = parse_json(
-            r#"{"metrics":{"maintenance.law_fallback_rebuilds":2},
-                "maintenance":{"law_fallback_rebuilds":1}}"#,
-        )
-        .unwrap();
-        let err = check_run_document(&maintenance).unwrap_err();
-        assert!(err.contains("law_fallback_rebuilds"), "{err}");
-        // An alias with no snapshot counterpart must be zero, not dropped.
-        let phantom = parse_json(r#"{"metrics":{"x":1},"shared_derived":5}"#).unwrap();
-        assert!(check_run_document(&phantom).is_err());
     }
 }

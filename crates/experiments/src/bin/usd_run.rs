@@ -94,6 +94,7 @@ use consensus_dynamics::{
 use pp_analysis::streaming::summarize_ensemble;
 use pp_core::engine::StepEngine;
 use pp_core::ensemble::{EnsembleChoice, EnsembleRunResult};
+use pp_core::json::{Json, ObjBuilder};
 use pp_core::{
     Checkpoint, Configuration, EngineChoice, FidelityConfig, MetricsSnapshot, RunResult, ShardPlan,
     SimSeed, StopCondition, Telemetry,
@@ -488,127 +489,87 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-/// A finite float as JSON, `null` otherwise (JSON has no NaN/∞).
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Renders the ensemble outcome as a JSON document — the `--output` form of
 /// the streaming summary, plus the per-replica hitting times the printed
-/// summary aggregates away.
+/// summary aggregates away.  Engine counters live in the embedded
+/// `"metrics"` object (same names as `--metrics` and the printed
+/// summaries).
 fn ensemble_summary_json(outcome: &EnsembleRunResult, elapsed: f64, opts: &Options) -> String {
-    use std::fmt::Write as _;
     let summary = summarize_ensemble(outcome);
     let (goal, wilson_lo, wilson_hi) = summary.goal_proportion();
-    let mut replicas_json = String::new();
-    for (i, result) in outcome.results().iter().enumerate() {
-        if i > 0 {
-            replicas_json.push(',');
-        }
+    let replicas = outcome.results().iter().enumerate().map(|(i, result)| {
         let outcome_name = match result.outcome() {
             pp_core::RunOutcome::Consensus => "consensus",
             pp_core::RunOutcome::OpinionSettled => "opinion-settled",
             pp_core::RunOutcome::BudgetExhausted => "budget-exhausted",
         };
-        let _ = write!(
-            replicas_json,
-            "{{\"replica\":{i},\"outcome\":\"{outcome_name}\",\"interactions\":{},\
-             \"parallel_time\":{},\"winner\":{},\"rejection_misses\":{}}}",
-            result.interactions(),
-            json_f64(result.parallel_time()),
-            result
-                .winner()
-                .map_or_else(|| "null".to_string(), |w| w.index().to_string()),
-            result
-                .rejection_misses()
-                .map_or_else(|| "null".to_string(), |m| m.to_string()),
-        );
-    }
-    let hitting_json = if summary.hitting_time.count() > 0 {
-        let (ci_lo, ci_hi) = summary.hitting_time.mean_confidence_interval(1.96);
-        format!(
-            "{{\"count\":{},\"mean\":{},\"ci95\":[{},{}],\"std_dev\":{},\"median\":{},\
-             \"min\":{},\"max\":{}}}",
-            summary.hitting_time.count(),
-            json_f64(summary.hitting_time.mean()),
-            json_f64(ci_lo),
-            json_f64(ci_hi),
-            json_f64(summary.hitting_time.std_dev()),
-            summary
-                .hitting_time
-                .median()
-                .map_or_else(|| "null".to_string(), json_f64),
-            json_f64(summary.hitting_time.min()),
-            json_f64(summary.hitting_time.max()),
-        )
+        ObjBuilder::new()
+            .field("replica", Json::U64(i as u64))
+            .field("outcome", Json::Str(outcome_name.to_string()))
+            .field("interactions", Json::U64(result.interactions()))
+            .field("parallel_time", Json::F64(result.parallel_time()))
+            .field(
+                "winner",
+                result
+                    .winner()
+                    .map_or(Json::Null, |w| Json::U64(w.index() as u64)),
+            )
+            .field(
+                "rejection_misses",
+                result.rejection_misses().map_or(Json::Null, Json::U64),
+            )
+            .build()
+    });
+    let hitting = &summary.hitting_time;
+    let hitting_json = if hitting.count() > 0 {
+        let (ci_lo, ci_hi) = hitting.mean_confidence_interval(1.96);
+        ObjBuilder::new()
+            .field("count", Json::U64(hitting.count()))
+            .field("mean", Json::F64(hitting.mean()))
+            .field("ci95", Json::Arr(vec![Json::F64(ci_lo), Json::F64(ci_hi)]))
+            .field("std_dev", Json::F64(hitting.std_dev()))
+            .field("median", hitting.median().map_or(Json::Null, Json::F64))
+            .field("min", Json::F64(hitting.min()))
+            .field("max", Json::F64(hitting.max()))
+            .build()
     } else {
-        "null".to_string()
+        Json::Null
     };
     let total = outcome.total_interactions();
-    // The canonical per-run metrics object (same names as `--metrics` and
-    // the printed summaries).  The flat `maintenance`/`shared_*` fields
-    // below duplicate it and are deprecated aliases, kept for one release
-    // so existing consumers keep parsing — they are read back from the
-    // snapshot itself, so the aliases can never drift from the canonical
-    // values (telemetry_check asserts the equality).
-    let snap = outcome.metrics_snapshot();
-    let metrics_json = snap.to_json();
-    let maintenance_counters = [
-        "maintenance.rows_patched",
-        "maintenance.rows_rebuilt",
-        "maintenance.law_patches",
-        "maintenance.law_rebuilds",
-        "maintenance.law_fallback_rebuilds",
-    ];
-    let maintenance_json = if maintenance_counters
-        .iter()
-        .any(|name| snap.counter(name).is_some())
-    {
-        let count = |name: &str| snap.counter(name).unwrap_or(0);
-        format!(
-            "{{\"rows_patched\":{},\"rows_rebuilt\":{},\"law_patches\":{},\
-             \"law_rebuilds\":{},\"law_fallback_rebuilds\":{}}}",
-            count("maintenance.rows_patched"),
-            count("maintenance.rows_rebuilt"),
-            count("maintenance.law_patches"),
-            count("maintenance.law_rebuilds"),
-            count("maintenance.law_fallback_rebuilds"),
+    ObjBuilder::new()
+        .field("tool", Json::Str("usd_run".to_string()))
+        .field("mode", Json::Str("ensemble".to_string()))
+        .field("n", Json::U64(opts.n))
+        .field("k", Json::U64(opts.k as u64))
+        .field("seed", Json::U64(opts.seed))
+        .field("replicas", Json::U64(outcome.len() as u64))
+        .field("workers", Json::U64(outcome.workers()))
+        .field("rounds", Json::U64(outcome.rounds()))
+        .field("metrics", outcome.metrics_snapshot().to_json_value())
+        .field(
+            "consensus",
+            ObjBuilder::new()
+                .field("reached", Json::U64(summary.goal_reached))
+                .field("proportion", Json::F64(goal))
+                .field(
+                    "wilson95",
+                    Json::Arr(vec![Json::F64(wilson_lo), Json::F64(wilson_hi)]),
+                )
+                .build(),
         )
-    } else {
-        "null".to_string()
-    };
-    format!(
-        "{{\"tool\":\"usd_run\",\"mode\":\"ensemble\",\"n\":{},\"k\":{},\"seed\":{},\
-         \"replicas\":{},\"workers\":{},\"rounds\":{},\
-         \"metrics\":{metrics_json},\
-         \"shared_reuse\":{},\"shared_hits\":{},\"shared_misses\":{},\
-         \"shared_derived\":{},\
-         \"maintenance\":{maintenance_json},\
-         \"consensus\":{{\"reached\":{},\"proportion\":{},\"wilson95\":[{},{}]}},\
-         \"hitting_time\":{hitting_json},\
-         \"total_interactions\":{total},\"seconds\":{},\"interactions_per_sec\":{},\
-         \"results\":[{replicas_json}]}}",
-        opts.n,
-        opts.k,
-        opts.seed,
-        outcome.len(),
-        outcome.workers(),
-        outcome.rounds(),
-        json_f64(snap.gauge("ensemble.shared_reuse_fraction").unwrap_or(0.0)),
-        snap.counter("ensemble.shared_hits").unwrap_or(0),
-        snap.counter("ensemble.shared_misses").unwrap_or(0),
-        snap.counter("ensemble.shared_derived").unwrap_or(0),
-        summary.goal_reached,
-        json_f64(goal),
-        json_f64(wilson_lo),
-        json_f64(wilson_hi),
-        json_f64(elapsed),
-        json_f64(total as f64 / elapsed.max(1e-9)),
-    )
+        .field("hitting_time", hitting_json)
+        .field(
+            "total_interactions",
+            Json::U64(u64::try_from(total).unwrap_or(u64::MAX)),
+        )
+        .field("seconds", Json::F64(elapsed))
+        .field(
+            "interactions_per_sec",
+            Json::F64(total as f64 / elapsed.max(1e-9)),
+        )
+        .field("results", Json::Arr(replicas.collect()))
+        .build()
+        .to_json()
 }
 
 /// Prints the engine-counter lines shared by the single-run and ensemble
@@ -681,7 +642,10 @@ fn emit_telemetry(tel: &Telemetry, opts: &Options, snap: &MetricsSnapshot) -> Re
         eprintln!("chrome trace written to {path} (load in Perfetto or chrome://tracing)");
     }
     if opts.metrics {
-        println!("{{\"metrics\":{}}}", snap.to_json());
+        let doc = ObjBuilder::new()
+            .field("metrics", snap.to_json_value())
+            .build();
+        println!("{}", doc.to_json());
     }
     Ok(())
 }

@@ -8,13 +8,11 @@
 //! interactions/sec regress beyond a threshold against the committed
 //! baseline — or when a guarded cell carries corrupt (non-finite or
 //! non-positive) measurements or has vanished from the current record,
-//! both of which previously passed silently.
-//!
-//! The offline build vendors `serde` as annotation-only, so this module
-//! carries its own minimal JSON reader — just enough for the documents this
-//! workspace emits (objects, arrays, strings, numbers, booleans, null).
+//! both of which previously passed silently.  Records are written and read
+//! through the shared [`pp_core::json`] codec.
 
 use crate::report::fmt_f64;
+use pp_core::json::{Json, ObjBuilder};
 use std::fmt::Write as _;
 
 /// One benchmark measurement, keyed by `(engine, shards, n, k, bias)`.
@@ -63,32 +61,30 @@ impl BenchEntry {
         )
     }
 
-    fn to_json(&self) -> String {
-        let telemetry = if self.telemetry.is_empty() {
-            String::new()
-        } else {
-            let pairs: Vec<String> = self
-                .telemetry
-                .iter()
-                .map(|(name, value)| format!("\"{name}\":{value}"))
-                .collect();
-            format!(",\"telemetry\":{{{}}}", pairs.join(","))
-        };
-        format!(
-            "{{\"experiment\":\"{}\",\"engine\":\"{}\",\"shards\":{},\"n\":{},\"k\":{},\"bias\":{},\
-             \"interactions\":{},\"seconds\":{},\"interactions_per_sec\":{},\"speedup\":{}{}}}",
-            self.experiment,
-            self.engine,
-            self.shards,
-            self.n,
-            self.k,
-            self.bias,
-            self.interactions,
-            self.seconds,
-            self.interactions_per_sec,
-            self.speedup,
-            telemetry,
-        )
+    /// The entry as a JSON object; non-finite measurements write `null`,
+    /// which [`parse_entries`] rejects by field name.
+    fn to_json_value(&self) -> Json {
+        let telemetry = self
+            .telemetry
+            .iter()
+            .map(|(name, value)| (name.clone(), Json::F64(*value)))
+            .collect();
+        ObjBuilder::new()
+            .field("experiment", Json::Str(self.experiment.clone()))
+            .field("engine", Json::Str(self.engine.clone()))
+            .field("shards", Json::U64(self.shards))
+            .field("n", Json::U64(self.n))
+            .field("k", Json::U64(self.k))
+            .field("bias", Json::F64(self.bias))
+            .field("interactions", Json::U64(self.interactions))
+            .field("seconds", Json::F64(self.seconds))
+            .field("interactions_per_sec", Json::F64(self.interactions_per_sec))
+            .field("speedup", Json::F64(self.speedup))
+            .opt(
+                "telemetry",
+                (!self.telemetry.is_empty()).then_some(Json::Obj(telemetry)),
+            )
+            .build()
     }
 }
 
@@ -103,278 +99,29 @@ pub fn render_stamped_document(
     entries: &[BenchEntry],
     reports: &[crate::report::ExperimentReport],
 ) -> String {
-    let entries_json: Vec<String> = entries.iter().map(BenchEntry::to_json).collect();
-    let reports_json: Vec<String> = reports
-        .iter()
-        .map(crate::report::ExperimentReport::to_json)
-        .collect();
-    format!(
-        "{{\"workspace_version\":\"{}\",\"tool\":\"engine_bench\",\"scale\":\"{}\",\"seed\":{},\
-         \"entries\":[{}],\"reports\":[{}]}}",
-        workspace_version,
-        scale,
-        seed,
-        entries_json.join(","),
-        reports_json.join(","),
-    )
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON reader.
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number (read as `f64`).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object (insertion-ordered key/value pairs).
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Looks up a key in an object.
-    #[must_use]
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as a number, if it is one.
-    #[must_use]
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice, if it is one.
-    #[must_use]
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice, if it is one.
-    #[must_use]
-    pub fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".to_string())
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.peek()? == byte {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {}",
-                char::from(byte),
-                self.pos
-            ))
-        }
-    }
-
-    fn literal(&mut self, text: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = *self
-                .bytes
-                .get(self.pos)
-                .ok_or("unterminated string".to_string())?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or("unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape".to_string())?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("invalid escape \\{}", char::from(other))),
-                    }
-                }
-                other => {
-                    // Re-assemble multi-byte UTF-8 sequences verbatim.
-                    let start = self.pos - 1;
-                    let len = match other {
-                        b if b < 0x80 => 1,
-                        b if b >= 0xF0 => 4,
-                        b if b >= 0xE0 => 3,
-                        _ => 2,
-                    };
-                    let chunk = self
-                        .bytes
-                        .get(start..start + len)
-                        .ok_or("truncated UTF-8 sequence".to_string())?;
-                    out.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                    self.pos = start + len;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|e| format!("invalid number {text:?}: {e}"))
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek()? {
-            b'{' => {
-                self.expect(b'{')?;
-                let mut pairs = Vec::new();
-                if self.peek()? == b'}' {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.expect(b':')?;
-                    pairs.push((key, self.value()?));
-                    match self.peek()? {
-                        b',' => self.pos += 1,
-                        b'}' => {
-                            self.pos += 1;
-                            return Ok(Json::Obj(pairs));
-                        }
-                        other => {
-                            return Err(format!(
-                                "expected ',' or '}}', got {:?}",
-                                char::from(other)
-                            ))
-                        }
-                    }
-                }
-            }
-            b'[' => {
-                self.expect(b'[')?;
-                let mut items = Vec::new();
-                if self.peek()? == b']' {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    match self.peek()? {
-                        b',' => self.pos += 1,
-                        b']' => {
-                            self.pos += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        other => {
-                            return Err(format!("expected ',' or ']', got {:?}", char::from(other)))
-                        }
-                    }
-                }
-            }
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'n' => self.literal("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-}
-
-/// Parses a JSON document.
-///
-/// # Errors
-///
-/// Returns a description of the first syntax error.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut parser = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let value = parser.value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", parser.pos));
-    }
-    Ok(value)
+    ObjBuilder::new()
+        .field(
+            "workspace_version",
+            Json::Str(workspace_version.to_string()),
+        )
+        .field("tool", Json::Str("engine_bench".to_string()))
+        .field("scale", Json::Str(scale.to_string()))
+        .field("seed", Json::U64(seed))
+        .field(
+            "entries",
+            Json::Arr(entries.iter().map(BenchEntry::to_json_value).collect()),
+        )
+        .field(
+            "reports",
+            Json::Arr(
+                reports
+                    .iter()
+                    .map(crate::report::ExperimentReport::to_json_value)
+                    .collect(),
+            ),
+        )
+        .build()
+        .to_json()
 }
 
 /// Reads the `entries` array of a stamped benchmark document.
@@ -384,7 +131,7 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
 /// Returns an error when the document does not parse or lacks the expected
 /// fields.
 pub fn parse_entries(text: &str) -> Result<Vec<BenchEntry>, String> {
-    let doc = parse_json(text)?;
+    let doc = Json::parse(text)?;
     let entries = doc
         .get("entries")
         .and_then(Json::as_array)
@@ -398,6 +145,11 @@ pub fn parse_entries(text: &str) -> Result<Vec<BenchEntry>, String> {
                     .and_then(Json::as_f64)
                     .ok_or(format!("entry {i} lacks numeric field {key:?}"))
             };
+            let u = |key: &str| -> Result<u64, String> {
+                e.get(key)
+                    .and_then(Json::as_u64)
+                    .ok_or(format!("entry {i} lacks unsigned integer field {key:?}"))
+            };
             Ok(BenchEntry {
                 experiment: e
                     .get("experiment")
@@ -409,11 +161,11 @@ pub fn parse_entries(text: &str) -> Result<Vec<BenchEntry>, String> {
                     .and_then(Json::as_str)
                     .ok_or(format!("entry {i} lacks \"engine\""))?
                     .to_string(),
-                shards: f("shards")? as u64,
-                n: f("n")? as u64,
-                k: f("k")? as u64,
+                shards: u("shards")?,
+                n: u("n")?,
+                k: u("k")?,
                 bias: f("bias")?,
-                interactions: f("interactions")? as u64,
+                interactions: u("interactions")?,
                 seconds: f("seconds")?,
                 interactions_per_sec: f("interactions_per_sec")?,
                 speedup: f("speedup")?,
@@ -664,31 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn json_parser_handles_the_document_shapes_we_emit() {
-        let doc = parse_json(r#"{"a": [1, 2.5, -3e2], "b": {"c": "x\ny", "d": true}, "e": null}"#)
-            .unwrap();
-        assert_eq!(doc.get("a").unwrap().as_array().unwrap().len(), 3);
-        assert_eq!(
-            doc.get("a").unwrap().as_array().unwrap()[2].as_f64(),
-            Some(-300.0)
-        );
-        assert_eq!(
-            doc.get("b").unwrap().get("c").unwrap().as_str(),
-            Some("x\ny")
-        );
-        assert_eq!(doc.get("b").unwrap().get("d"), Some(&Json::Bool(true)));
-        assert_eq!(doc.get("e"), Some(&Json::Null));
-        assert!(parse_json("{\"open\":").is_err());
-        assert!(parse_json("[1, 2] junk").is_err());
-    }
-
-    #[test]
-    fn json_parser_preserves_unicode() {
-        let doc = parse_json(r#"{"s": "10⁶ agents — fast"}"#).unwrap();
-        assert_eq!(doc.get("s").unwrap().as_str(), Some("10⁶ agents — fast"));
-    }
-
-    #[test]
     fn stamped_document_round_trips_through_the_parser() {
         let entries = vec![
             entry("batched", 1, 1_000_000, 4.5e8),
@@ -697,12 +424,69 @@ mod tests {
         let doc = render_stamped_document("0.1.0", "full", 7, &entries, &[]);
         let parsed = parse_entries(&doc).unwrap();
         assert_eq!(parsed, entries);
-        let json = parse_json(&doc).unwrap();
+        let json = Json::parse(&doc).unwrap();
         assert_eq!(
             json.get("workspace_version").unwrap().as_str(),
             Some("0.1.0")
         );
         assert_eq!(json.get("seed").unwrap().as_f64(), Some(7.0));
+    }
+
+    /// Byte golden recorded before the writers moved onto the shared JSON
+    /// codec: the stamped record `engine_bench` writes must not drift.
+    #[test]
+    fn stamped_document_keeps_its_bytes() {
+        let mut with_payload = entry("telemetry-on", 1, 1_000_000, 4.25e8);
+        with_payload.bias = 1.5;
+        with_payload.seconds = 0.125;
+        with_payload.speedup = 0.97;
+        with_payload.telemetry = vec![
+            ("batched.events_drawn".to_string(), 51119.0),
+            ("maintenance.rows_patched_fraction".to_string(), 0.925),
+        ];
+        let mut report = crate::report::ExperimentReport::new(
+            "E13",
+            "engine \"throughput\"",
+            "batched \\ exact",
+            vec!["engine".to_string(), "ips".to_string()],
+        );
+        report.push_row(vec!["batched".to_string(), "4.25e8".to_string()]);
+        report.push_note("line\nbreak\ttab");
+        let doc = render_stamped_document(
+            "0.1.0",
+            "quick",
+            3,
+            &[with_payload, entry("batched", 1, 1_000, 4.5e8)],
+            &[report],
+        );
+        assert_eq!(
+            doc,
+            r#"{"workspace_version":"0.1.0","tool":"engine_bench","scale":"quick","seed":3,"entries":[{"experiment":"E13","engine":"telemetry-on","shards":1,"n":1000000,"k":2,"bias":1.5,"interactions":1000,"seconds":0.125,"interactions_per_sec":425000000,"speedup":0.97,"telemetry":{"batched.events_drawn":51119,"maintenance.rows_patched_fraction":0.925}},{"experiment":"E13","engine":"batched","shards":1,"n":1000,"k":2,"bias":4,"interactions":1000,"seconds":1,"interactions_per_sec":450000000,"speedup":1}],"reports":[{"id":"E13","title":"engine \"throughput\"","paper_claim":"batched \\ exact","headers":["engine","ips"],"rows":[["batched","4.25e8"]],"notes":["line\nbreak\ttab"]}]}"#
+        );
+    }
+
+    /// A NaN used to be written as a bare `NaN`, which is not JSON; it now
+    /// writes `null`, and the reader rejects it by field name.
+    #[test]
+    fn non_finite_measurements_write_null_and_fail_by_name() {
+        let mut corrupt = entry("batched", 1, 1_000, 4.5e8);
+        corrupt.speedup = f64::NAN;
+        let doc = render_stamped_document("0.1.0", "quick", 3, &[corrupt], &[]);
+        assert!(doc.contains("\"speedup\":null"), "{doc}");
+        let err = parse_entries(&doc).unwrap_err();
+        assert!(err.contains("\"speedup\""), "{err}");
+    }
+
+    /// The committed records parse in full.
+    #[test]
+    fn committed_bench_records_parse() {
+        for (file, entries) in [("BENCH_engines.json", 74), ("BENCH_engines_quick.json", 55)] {
+            let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+                .join("../..")
+                .join(file);
+            let text = std::fs::read_to_string(&path).unwrap();
+            assert_eq!(parse_entries(&text).unwrap().len(), entries, "{file}");
+        }
     }
 
     #[test]

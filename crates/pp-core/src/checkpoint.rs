@@ -63,9 +63,8 @@
 //!
 //! # Format
 //!
-//! Checkpoints serialize as a small hand-rolled JSON document (the
-//! workspace's vendored `serde` facade is a no-op, so derives are not
-//! available): `{"format": 1, "kind": "<engine>", "engine": {…}}`, plus an
+//! Checkpoints serialize through the shared [`crate::json`] codec as
+//! `{"format": 1, "kind": "<engine>", "engine": {…}}`, plus an
 //! optional `"meta": {…}` object of named `u64` values that wrappers above
 //! the engine layer (the `usd-core` simulator) use to stamp their own
 //! resumable state — seed, consumed interactions, initial counts — onto an
@@ -81,7 +80,7 @@
 
 use crate::config::Configuration;
 use crate::error::PpError;
-use std::fmt::Write as _;
+use crate::json::{Json, ObjBuilder};
 use std::path::Path;
 
 /// The current checkpoint layout version.  Bumped on any incompatible
@@ -177,8 +176,8 @@ pub struct EnsembleSnapshot {
 }
 
 /// Snapshot of a mean-field (fluid-limit) engine.  The ODE state is `f64`,
-/// which the checkpoint format's unsigned-integer-only parser cannot carry
-/// directly, so every float is stored as its exact IEEE-754 bit pattern
+/// which a decimal rendering cannot carry exactly, so every float is
+/// stored as its exact IEEE-754 bit pattern
 /// ([`f64::to_bits`]) — the round trip is bit-exact, never a decimal
 /// approximation.  The quantized configuration rides along as plain counts
 /// (largest-remainder rounding of the exact fractions could disagree with
@@ -329,32 +328,22 @@ impl Checkpoint {
     /// Serializes the checkpoint to its JSON document.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        let _ = write!(
-            out,
-            "{{\"format\":{},\"kind\":\"{}\",\"engine\":",
-            self.version,
-            self.kind()
-        );
-        match &self.engine {
-            EngineState::Exact(s) | EngineState::Batched(s) => write_snapshot(&mut out, s),
-            EngineState::Sharded(s) => write_sharded(&mut out, s),
-            EngineState::Ensemble(s) => write_ensemble(&mut out, s),
-            EngineState::MeanField(s) => write_mean_field(&mut out, s),
-        }
-        if !self.meta.is_empty() {
-            out.push_str(",\"meta\":{");
-            for (i, (name, value)) in self.meta.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_string(&mut out, name);
-                let _ = write!(out, ":{value}");
-            }
-            out.push('}');
-        }
-        out.push('}');
-        out
+        let engine = match &self.engine {
+            EngineState::Exact(s) | EngineState::Batched(s) => snapshot_json(s),
+            EngineState::Sharded(s) => sharded_json(s),
+            EngineState::Ensemble(s) => ensemble_json(s),
+            EngineState::MeanField(s) => mean_field_json(s),
+        };
+        ObjBuilder::new()
+            .field("format", Json::U64(u64::from(self.version)))
+            .field("kind", Json::Str(self.kind().to_string()))
+            .field("engine", engine)
+            .opt(
+                "meta",
+                (!self.meta.is_empty()).then(|| u64_object(&self.meta)),
+            )
+            .build()
+            .to_json()
     }
 
     /// Parses a checkpoint from its JSON document.
@@ -365,9 +354,10 @@ impl Checkpoint {
     /// misshaped field, an unknown `kind`, or a format version this build
     /// does not understand.
     pub fn from_json(text: &str) -> Result<Self, PpError> {
-        let value = parse_json(text)?;
-        let root = value.as_object("checkpoint root")?;
-        let version = get(root, "format")?.as_u64("format")?;
+        let value =
+            Json::parse(text).map_err(|e| bad(&format!("malformed checkpoint document: {e}")))?;
+        let root = as_object(&value, "checkpoint root")?;
+        let version = as_u64(get(root, "format")?, "format")?;
         let version = u32::try_from(version).map_err(|_| bad("format version out of range"))?;
         if version != CHECKPOINT_FORMAT_VERSION {
             return Err(bad(&format!(
@@ -375,7 +365,7 @@ impl Checkpoint {
                  (this build reads version {CHECKPOINT_FORMAT_VERSION})"
             )));
         }
-        let kind = get(root, "kind")?.as_str("kind")?;
+        let kind = as_str(get(root, "kind")?, "kind")?;
         let payload = get(root, "engine")?;
         let engine = match kind {
             "exact" => EngineState::Exact(read_snapshot(payload)?),
@@ -385,12 +375,8 @@ impl Checkpoint {
             "mean-field" => EngineState::MeanField(read_mean_field(payload)?),
             other => return Err(bad(&format!("unknown engine kind {other:?}"))),
         };
-        let meta = match root.iter().find(|(n, _)| n == "meta") {
-            Some((_, v)) => v
-                .as_object("meta")?
-                .iter()
-                .map(|(name, v)| Ok((name.clone(), v.as_u64(name)?)))
-                .collect::<Result<Vec<_>, PpError>>()?,
+        let meta = match value.get("meta") {
+            Some(v) => read_u64_object(v, "meta")?,
             None => Vec::new(),
         };
         Ok(Checkpoint {
@@ -463,157 +449,106 @@ fn bad(reason: &str) -> PpError {
     }
 }
 
-// --- JSON writer --------------------------------------------------------
+// --- JSON writer ----------------------------------------------------------
 
-fn write_u64_array(out: &mut String, values: &[u64]) {
-    out.push('[');
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{v}");
-    }
-    out.push(']');
+fn u64_array(values: &[u64]) -> Json {
+    Json::Arr(values.iter().map(|&v| Json::U64(v)).collect())
 }
 
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+fn u64_object(pairs: &[(String, u64)]) -> Json {
+    Json::Obj(
+        pairs
+            .iter()
+            .map(|(name, v)| (name.clone(), Json::U64(*v)))
+            .collect(),
+    )
 }
 
-fn write_snapshot(out: &mut String, s: &EngineSnapshot) {
-    out.push_str("{\"supports\":");
-    write_u64_array(out, &s.supports);
-    let _ = write!(
-        out,
-        ",\"undecided\":{},\"interactions\":{},\"rng\":",
-        s.undecided, s.interactions
-    );
-    write_u64_array(out, &s.rng);
-    out.push_str(",\"counters\":{");
-    for (i, (name, value)) in s.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_string(out, name);
-        let _ = write!(out, ":{value}");
-    }
-    out.push_str("}}");
+fn snapshot_json(s: &EngineSnapshot) -> Json {
+    ObjBuilder::new()
+        .field("supports", u64_array(&s.supports))
+        .field("undecided", Json::U64(s.undecided))
+        .field("interactions", Json::U64(s.interactions))
+        .field("rng", u64_array(&s.rng))
+        .field("counters", u64_object(&s.counters))
+        .build()
 }
 
-fn write_sharded(out: &mut String, s: &ShardedSnapshot) {
-    out.push_str("{\"shards\":[");
-    for (i, shard) in s.shards.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"engine\":");
-        write_snapshot(out, &shard.engine);
-        out.push_str(",\"cross_rng\":");
-        write_u64_array(out, &shard.cross_rng);
-        out.push('}');
-    }
-    out.push_str("],\"alloc_rng\":");
-    write_u64_array(out, &s.alloc_rng);
-    let _ = write!(
-        out,
-        ",\"interactions\":{},\"epochs\":{},\"epoch_len\":{},\"threads\":{},\"rebalance_every\":",
-        s.interactions, s.epochs, s.epoch_len, s.threads
-    );
-    match s.rebalance_every {
-        Some(v) => {
-            let _ = write!(out, "{v}");
-        }
-        None => out.push_str("null"),
-    }
-    out.push('}');
+fn sharded_json(s: &ShardedSnapshot) -> Json {
+    let shards = s
+        .shards
+        .iter()
+        .map(|shard| {
+            ObjBuilder::new()
+                .field("engine", snapshot_json(&shard.engine))
+                .field("cross_rng", u64_array(&shard.cross_rng))
+                .build()
+        })
+        .collect();
+    ObjBuilder::new()
+        .field("shards", Json::Arr(shards))
+        .field("alloc_rng", u64_array(&s.alloc_rng))
+        .field("interactions", Json::U64(s.interactions))
+        .field("epochs", Json::U64(s.epochs))
+        .field("epoch_len", Json::U64(s.epoch_len))
+        .field("threads", Json::U64(s.threads))
+        .field(
+            "rebalance_every",
+            s.rebalance_every.map_or(Json::Null, Json::U64),
+        )
+        .build()
 }
 
-fn write_ensemble(out: &mut String, s: &EnsembleSnapshot) {
-    out.push_str("{\"replicas\":[");
-    for (i, replica) in s.replicas.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_snapshot(out, replica);
-    }
-    let _ = write!(
-        out,
-        "],\"rounds\":{},\"dormant_events\":{}}}",
-        s.rounds, s.dormant_events
-    );
+fn ensemble_json(s: &EnsembleSnapshot) -> Json {
+    ObjBuilder::new()
+        .field(
+            "replicas",
+            Json::Arr(s.replicas.iter().map(snapshot_json).collect()),
+        )
+        .field("rounds", Json::U64(s.rounds))
+        .field("dormant_events", Json::U64(s.dormant_events))
+        .build()
 }
 
-fn write_mean_field(out: &mut String, s: &MeanFieldSnapshot) {
-    out.push_str("{\"fraction_bits\":");
-    write_u64_array(out, &s.fraction_bits);
-    let _ = write!(
-        out,
-        ",\"undecided_bits\":{},\"supports\":",
-        s.undecided_bits
-    );
-    write_u64_array(out, &s.supports);
-    let _ = write!(
-        out,
-        ",\"undecided\":{},\"population\":{},\"interactions\":{},\"dt_bits\":{}}}",
-        s.undecided, s.population, s.interactions, s.dt_bits
-    );
+fn mean_field_json(s: &MeanFieldSnapshot) -> Json {
+    ObjBuilder::new()
+        .field("fraction_bits", u64_array(&s.fraction_bits))
+        .field("undecided_bits", Json::U64(s.undecided_bits))
+        .field("supports", u64_array(&s.supports))
+        .field("undecided", Json::U64(s.undecided))
+        .field("population", Json::U64(s.population))
+        .field("interactions", Json::U64(s.interactions))
+        .field("dt_bits", Json::U64(s.dt_bits))
+        .build()
 }
 
-// --- JSON reader --------------------------------------------------------
+// --- JSON reader ----------------------------------------------------------
 //
-// A minimal recursive-descent parser covering exactly the subset the writer
-// emits: objects, arrays, strings, unsigned integers, and `null`.  The
-// vendored `serde` facade is a no-op, so this is deliberate, not an
-// oversight.
+// Typed accessors over the shared value, each failing with a diagnostic
+// that names the checkpoint field.
 
-#[derive(Debug)]
-enum Json {
-    Num(u64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-    Null,
+fn as_u64(value: &Json, what: &str) -> Result<u64, PpError> {
+    value
+        .as_u64()
+        .ok_or_else(|| bad(&format!("field {what:?} is not an unsigned integer")))
 }
 
-impl Json {
-    fn as_u64(&self, what: &str) -> Result<u64, PpError> {
-        match self {
-            Json::Num(v) => Ok(*v),
-            _ => Err(bad(&format!("field {what:?} is not an unsigned integer"))),
-        }
-    }
+fn as_str<'a>(value: &'a Json, what: &str) -> Result<&'a str, PpError> {
+    value
+        .as_str()
+        .ok_or_else(|| bad(&format!("field {what:?} is not a string")))
+}
 
-    fn as_str(&self, what: &str) -> Result<&str, PpError> {
-        match self {
-            Json::Str(s) => Ok(s),
-            _ => Err(bad(&format!("field {what:?} is not a string"))),
-        }
-    }
+fn as_array<'a>(value: &'a Json, what: &str) -> Result<&'a [Json], PpError> {
+    value
+        .as_array()
+        .ok_or_else(|| bad(&format!("field {what:?} is not an array")))
+}
 
-    fn as_array(&self, what: &str) -> Result<&[Json], PpError> {
-        match self {
-            Json::Arr(a) => Ok(a),
-            _ => Err(bad(&format!("field {what:?} is not an array"))),
-        }
-    }
-
-    fn as_object(&self, what: &str) -> Result<&[(String, Json)], PpError> {
-        match self {
-            Json::Obj(o) => Ok(o),
-            _ => Err(bad(&format!("field {what:?} is not an object"))),
-        }
-    }
+fn as_object<'a>(value: &'a Json, what: &str) -> Result<&'a [(String, Json)], PpError> {
+    value
+        .as_object()
+        .ok_or_else(|| bad(&format!("field {what:?} is not an object")))
 }
 
 fn get<'a>(obj: &'a [(String, Json)], name: &str) -> Result<&'a Json, PpError> {
@@ -623,204 +558,17 @@ fn get<'a>(obj: &'a [(String, Json)], name: &str) -> Result<&'a Json, PpError> {
         .ok_or_else(|| bad(&format!("missing checkpoint field {name:?}")))
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, PpError> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| bad("unexpected end of checkpoint document"))
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), PpError> {
-        if self.peek()? == byte {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(bad(&format!(
-                "expected {:?} at byte {}",
-                byte as char, self.pos
-            )))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, PpError> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b'n' => {
-                if self.bytes[self.pos..].starts_with(b"null") {
-                    self.pos += 4;
-                    Ok(Json::Null)
-                } else {
-                    Err(bad(&format!("unrecognized token at byte {}", self.pos)))
-                }
-            }
-            b'0'..=b'9' => self.number(),
-            other => Err(bad(&format!(
-                "unexpected {:?} at byte {}",
-                other as char, self.pos
-            ))),
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, PpError> {
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are utf-8");
-        text.parse::<u64>()
-            .map(Json::Num)
-            .map_err(|_| bad(&format!("number out of range at byte {start}")))
-    }
-
-    fn string(&mut self) -> Result<String, PpError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err(bad("unterminated string in checkpoint document"));
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err(bad("unterminated escape in checkpoint document"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .and_then(char::from_u32)
-                                .ok_or_else(|| bad("invalid \\u escape"))?;
-                            self.pos += 4;
-                            out.push(hex);
-                        }
-                        other => {
-                            return Err(bad(&format!("unsupported escape \\{}", other as char)))
-                        }
-                    }
-                }
-                b if b < 0x80 => out.push(b as char),
-                _ => {
-                    // Re-sync on the UTF-8 sequence starting at this byte.
-                    let start = self.pos - 1;
-                    let mut end = self.pos;
-                    while self.bytes.get(end).is_some_and(|b| b & 0xC0 == 0x80) {
-                        end += 1;
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| bad("invalid utf-8 in checkpoint string"))?;
-                    out.push_str(chunk);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, PpError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => {
-                    return Err(bad(&format!(
-                        "expected ',' or ']' but found {:?} at byte {}",
-                        other as char, self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, PpError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let name = self.string()?;
-            self.expect(b':')?;
-            fields.push((name, self.value()?));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                other => {
-                    return Err(bad(&format!(
-                        "expected ',' or '}}' but found {:?} at byte {}",
-                        other as char, self.pos
-                    )))
-                }
-            }
-        }
-    }
-}
-
-fn parse_json(text: &str) -> Result<Json, PpError> {
-    let mut parser = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let value = parser.value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(bad(&format!(
-            "trailing garbage at byte {} of checkpoint document",
-            parser.pos
-        )));
-    }
-    Ok(value)
-}
-
 fn read_u64_array(value: &Json, what: &str) -> Result<Vec<u64>, PpError> {
-    value
-        .as_array(what)?
+    as_array(value, what)?
         .iter()
-        .map(|v| v.as_u64(what))
+        .map(|v| as_u64(v, what))
+        .collect()
+}
+
+fn read_u64_object(value: &Json, what: &str) -> Result<Vec<(String, u64)>, PpError> {
+    as_object(value, what)?
+        .iter()
+        .map(|(name, v)| Ok((name.clone(), as_u64(v, name)?)))
         .collect()
 }
 
@@ -831,28 +579,22 @@ fn read_rng(value: &Json, what: &str) -> Result<[u64; 4], PpError> {
 }
 
 fn read_snapshot(value: &Json) -> Result<EngineSnapshot, PpError> {
-    let obj = value.as_object("engine snapshot")?;
-    let counters = get(obj, "counters")?
-        .as_object("counters")?
-        .iter()
-        .map(|(name, v)| Ok((name.clone(), v.as_u64(name)?)))
-        .collect::<Result<Vec<_>, PpError>>()?;
+    let obj = as_object(value, "engine snapshot")?;
     Ok(EngineSnapshot {
         supports: read_u64_array(get(obj, "supports")?, "supports")?,
-        undecided: get(obj, "undecided")?.as_u64("undecided")?,
-        interactions: get(obj, "interactions")?.as_u64("interactions")?,
+        undecided: as_u64(get(obj, "undecided")?, "undecided")?,
+        interactions: as_u64(get(obj, "interactions")?, "interactions")?,
         rng: read_rng(get(obj, "rng")?, "rng")?,
-        counters,
+        counters: read_u64_object(get(obj, "counters")?, "counters")?,
     })
 }
 
 fn read_sharded(value: &Json) -> Result<ShardedSnapshot, PpError> {
-    let obj = value.as_object("sharded state")?;
-    let shards = get(obj, "shards")?
-        .as_array("shards")?
+    let obj = as_object(value, "sharded state")?;
+    let shards = as_array(get(obj, "shards")?, "shards")?
         .iter()
         .map(|shard| {
-            let s = shard.as_object("shard")?;
+            let s = as_object(shard, "shard")?;
             Ok(ShardSnapshot {
                 engine: read_snapshot(get(s, "engine")?)?,
                 cross_rng: read_rng(get(s, "cross_rng")?, "cross_rng")?,
@@ -861,42 +603,41 @@ fn read_sharded(value: &Json) -> Result<ShardedSnapshot, PpError> {
         .collect::<Result<Vec<_>, PpError>>()?;
     let rebalance_every = match get(obj, "rebalance_every")? {
         Json::Null => None,
-        v => Some(v.as_u64("rebalance_every")?),
+        v => Some(as_u64(v, "rebalance_every")?),
     };
     Ok(ShardedSnapshot {
         shards,
         alloc_rng: read_rng(get(obj, "alloc_rng")?, "alloc_rng")?,
-        interactions: get(obj, "interactions")?.as_u64("interactions")?,
-        epochs: get(obj, "epochs")?.as_u64("epochs")?,
-        epoch_len: get(obj, "epoch_len")?.as_u64("epoch_len")?,
-        threads: get(obj, "threads")?.as_u64("threads")?,
+        interactions: as_u64(get(obj, "interactions")?, "interactions")?,
+        epochs: as_u64(get(obj, "epochs")?, "epochs")?,
+        epoch_len: as_u64(get(obj, "epoch_len")?, "epoch_len")?,
+        threads: as_u64(get(obj, "threads")?, "threads")?,
         rebalance_every,
     })
 }
 
 fn read_ensemble(value: &Json) -> Result<EnsembleSnapshot, PpError> {
-    let obj = value.as_object("ensemble state")?;
+    let obj = as_object(value, "ensemble state")?;
     Ok(EnsembleSnapshot {
-        replicas: get(obj, "replicas")?
-            .as_array("replicas")?
+        replicas: as_array(get(obj, "replicas")?, "replicas")?
             .iter()
             .map(read_snapshot)
             .collect::<Result<Vec<_>, PpError>>()?,
-        rounds: get(obj, "rounds")?.as_u64("rounds")?,
-        dormant_events: get(obj, "dormant_events")?.as_u64("dormant_events")?,
+        rounds: as_u64(get(obj, "rounds")?, "rounds")?,
+        dormant_events: as_u64(get(obj, "dormant_events")?, "dormant_events")?,
     })
 }
 
 fn read_mean_field(value: &Json) -> Result<MeanFieldSnapshot, PpError> {
-    let obj = value.as_object("mean-field state")?;
+    let obj = as_object(value, "mean-field state")?;
     Ok(MeanFieldSnapshot {
         fraction_bits: read_u64_array(get(obj, "fraction_bits")?, "fraction_bits")?,
-        undecided_bits: get(obj, "undecided_bits")?.as_u64("undecided_bits")?,
+        undecided_bits: as_u64(get(obj, "undecided_bits")?, "undecided_bits")?,
         supports: read_u64_array(get(obj, "supports")?, "supports")?,
-        undecided: get(obj, "undecided")?.as_u64("undecided")?,
-        population: get(obj, "population")?.as_u64("population")?,
-        interactions: get(obj, "interactions")?.as_u64("interactions")?,
-        dt_bits: get(obj, "dt_bits")?.as_u64("dt_bits")?,
+        undecided: as_u64(get(obj, "undecided")?, "undecided")?,
+        population: as_u64(get(obj, "population")?, "population")?,
+        interactions: as_u64(get(obj, "interactions")?, "interactions")?,
+        dt_bits: as_u64(get(obj, "dt_bits")?, "dt_bits")?,
     })
 }
 
@@ -1038,6 +779,19 @@ mod tests {
     }
 
     #[test]
+    fn control_characters_read_in_both_escape_forms() {
+        // Older writers spelled a newline in a name as `\u000a`; the shared
+        // codec writes `\n`.  Both must restore the same name.
+        let mut snap = sample_snapshot();
+        snap.counters.push(("line\nbreak".to_string(), 3));
+        let checkpoint = Checkpoint::new(EngineState::Exact(snap));
+        let json = checkpoint.to_json();
+        assert!(json.contains("line\\nbreak"), "{json}");
+        let legacy = json.replace("line\\nbreak", "line\\u000abreak");
+        assert_eq!(Checkpoint::from_json(&legacy).unwrap(), checkpoint);
+    }
+
+    #[test]
     fn wrapper_metadata_rides_along_and_round_trips() {
         let bare = Checkpoint::new(EngineState::Exact(sample_snapshot()));
         assert!(!bare.to_json().contains("\"meta\""));
@@ -1103,6 +857,62 @@ mod tests {
             panic!("expected a checkpoint error");
         };
         assert!(reason.contains("\"exact\"") && reason.contains("\"batched\""));
+    }
+
+    /// Byte goldens for every engine kind with wrapper metadata, recorded
+    /// before the checkpoint writer moved onto the shared JSON codec: the
+    /// on-disk format must not drift.
+    #[test]
+    fn checkpoint_documents_keep_their_bytes() {
+        let states = [
+            EngineState::Exact(sample_snapshot()),
+            EngineState::Batched(sample_snapshot()),
+            EngineState::Sharded(ShardedSnapshot {
+                shards: vec![ShardSnapshot {
+                    engine: sample_snapshot(),
+                    cross_rng: [5, 6, 7, 8],
+                }],
+                alloc_rng: [13, 14, 15, 16],
+                interactions: 999,
+                epochs: 31,
+                epoch_len: 32,
+                threads: 4,
+                rebalance_every: None,
+            }),
+            EngineState::Ensemble(EnsembleSnapshot {
+                replicas: vec![sample_snapshot(); 2],
+                rounds: 17,
+                dormant_events: 5,
+            }),
+            EngineState::MeanField(MeanFieldSnapshot {
+                fraction_bits: vec![0.5f64.to_bits(), 0.25f64.to_bits()],
+                undecided_bits: 0.25f64.to_bits(),
+                supports: vec![500, 250],
+                undecided: 250,
+                population: 1_000,
+                interactions: 4_200,
+                dt_bits: 0.01f64.to_bits(),
+            }),
+        ];
+        let docs: Vec<String> = states
+            .into_iter()
+            .map(|state| {
+                Checkpoint::new(state)
+                    .with_meta("sim.seed", 42)
+                    .with_meta("sim.consumed", u64::MAX)
+                    .to_json()
+            })
+            .collect();
+        assert_eq!(
+            docs,
+            [
+                r#"{"format":1,"kind":"exact","engine":{"supports":[12,0,7],"undecided":3,"interactions":123456,"rng":[1,18446744073709551615,0,42],"counters":{"events_drawn":99,"incremental":1}},"meta":{"sim.seed":42,"sim.consumed":18446744073709551615}}"#,
+                r#"{"format":1,"kind":"batched","engine":{"supports":[12,0,7],"undecided":3,"interactions":123456,"rng":[1,18446744073709551615,0,42],"counters":{"events_drawn":99,"incremental":1}},"meta":{"sim.seed":42,"sim.consumed":18446744073709551615}}"#,
+                r#"{"format":1,"kind":"sharded","engine":{"shards":[{"engine":{"supports":[12,0,7],"undecided":3,"interactions":123456,"rng":[1,18446744073709551615,0,42],"counters":{"events_drawn":99,"incremental":1}},"cross_rng":[5,6,7,8]}],"alloc_rng":[13,14,15,16],"interactions":999,"epochs":31,"epoch_len":32,"threads":4,"rebalance_every":null},"meta":{"sim.seed":42,"sim.consumed":18446744073709551615}}"#,
+                r#"{"format":1,"kind":"ensemble","engine":{"replicas":[{"supports":[12,0,7],"undecided":3,"interactions":123456,"rng":[1,18446744073709551615,0,42],"counters":{"events_drawn":99,"incremental":1}},{"supports":[12,0,7],"undecided":3,"interactions":123456,"rng":[1,18446744073709551615,0,42],"counters":{"events_drawn":99,"incremental":1}}],"rounds":17,"dormant_events":5},"meta":{"sim.seed":42,"sim.consumed":18446744073709551615}}"#,
+                r#"{"format":1,"kind":"mean-field","engine":{"fraction_bits":[4602678819172646912,4598175219545276416],"undecided_bits":4598175219545276416,"supports":[500,250],"undecided":250,"population":1000,"interactions":4200,"dt_bits":4576918229304087675},"meta":{"sim.seed":42,"sim.consumed":18446744073709551615}}"#,
+            ]
+        );
     }
 
     #[test]

@@ -1,22 +1,44 @@
-//! A small self-contained JSON value, writer and recursive-descent parser.
+//! The workspace's one JSON codec: a value type, a canonical compact
+//! writer and a recursive-descent parser.
 //!
-//! The workspace's `serde` is a vendored no-op facade (no registry access),
-//! so every crate that speaks JSON rolls its own.  `pp_core::checkpoint`
-//! carries a private u64-only reader sized for engine snapshots; the service
-//! layer needs the full scalar set — floats for bias factors, booleans for
-//! protocol acks, negative numbers never (the domain is counts and
-//! fractions), but the parser accepts them anyway so foreign clients cannot
-//! wedge the server with well-formed JSON.
+//! The vendored `serde` is an annotation-only facade (the build has no
+//! registry access), so every JSON document in the workspace — engine
+//! checkpoints, metrics snapshots and chrome traces, scenario files, the
+//! service's wire protocol and canonical results, stamped bench records —
+//! is built as a [`Json`] value and written by [`Json::to_json`], and read
+//! back by [`Json::parse`].
 //!
-//! Two properties the service relies on:
+//! # Accepted grammar
 //!
-//! * **Deterministic output.**  Objects keep insertion order (a `Vec` of
-//!   pairs, not a hash map) and floats print through Rust's shortest
-//!   round-trip `Display`, so writing the same value twice yields the same
-//!   bytes — the scenario round-trip tests and the byte-equality contract
-//!   between `pp_serve` results and `usd_run --scenario` stand on this.
-//! * **Integer exactness.**  Interaction counts exceed 2^53, so integers
-//!   parse into `u64`/`i64` variants and never detour through `f64`.
+//! RFC 8259 JSON, read slightly leniently, one complete document per call
+//! (trailing non-whitespace is an error):
+//!
+//! * whitespace is space, tab, LF and CR;
+//! * literals `null`, `true`, `false`;
+//! * strings with the escapes `\"` `\\` `\/` `\b` `\f` `\n` `\r` `\t` and
+//!   `\uXXXX` (each surrogate code unit reads as U+FFFD; pairs are not
+//!   reassembled), and any other UTF-8 text verbatim, raw control
+//!   characters included;
+//! * numbers `-? digits [. digits] [(e|E) [+|-] digits]`, read leniently
+//!   (leading zeros and an empty fraction are accepted).  An integer with
+//!   no fraction or exponent becomes [`Json::U64`] when it fits, else
+//!   [`Json::I64`]; everything else becomes [`Json::F64`];
+//! * arrays and objects; duplicate object keys are kept, and [`Json::get`]
+//!   returns the first.
+//!
+//! # Output guarantees
+//!
+//! * **Deterministic bytes.**  Objects keep insertion order (a `Vec` of
+//!   pairs, not a hash map), output is compact (no whitespace), strings
+//!   escape `"`, `\`, `\n`, `\r`, `\t` and write other control characters as
+//!   `\u00XX`, and floats print through Rust's shortest round-trip
+//!   `Display` ([`write_f64`]; non-finite floats write `null`).  Writing
+//!   the same value twice yields the same bytes — checkpoint goldens, the
+//!   scenario round trip and the byte-equality contract between `pp_serve`
+//!   results and `usd_run --scenario` stand on this.
+//! * **Exact integers.**  Interaction counts and RNG state words exceed
+//!   2^53, so integers parse into `u64`/`i64` variants and never detour
+//!   through `f64`.
 
 use std::fmt::Write as _;
 
@@ -171,14 +193,14 @@ impl Json {
         let value = parse_value(bytes, &mut pos)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
-            return Err(format!("trailing characters at byte {pos}"));
+            return Err(format!("trailing garbage at byte {pos}"));
         }
         Ok(value)
     }
 }
 
 /// A finite float in Rust's shortest round-trip form, `null` otherwise
-/// (JSON has no NaN/∞) — the same convention `usd_run` uses.
+/// (JSON has no NaN/∞).
 #[must_use]
 pub fn write_f64(x: f64) -> String {
     if x.is_finite() {
@@ -326,9 +348,8 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                             .ok_or_else(|| "truncated \\u escape".to_string())?;
                         let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
                         let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                        // Surrogate pairs are not reassembled: the service's
-                        // own output never emits them (identifiers and
-                        // diagnostics are ASCII), foreign ones map to the
+                        // Surrogate pairs are not reassembled: the writer
+                        // never emits them, and foreign ones map to the
                         // replacement character instead of an error.
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         *pos += 4;
@@ -340,12 +361,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one full UTF-8 scalar (input is a &str, so the
-                // byte stream is valid UTF-8 by construction).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash in one
+                // piece.  Both are ASCII, so the run ends on a character
+                // boundary of the input (a &str, valid UTF-8 by
+                // construction).
+                let start = *pos;
+                while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
+                out.push_str(run);
             }
         }
     }
@@ -394,8 +419,8 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         .map_err(|_| format!("bad number {text:?} at byte {start}"))
 }
 
-/// An insertion-ordered object builder — the writer the service's canonical
-/// documents go through.
+/// An insertion-ordered object builder — the writer every canonical
+/// document goes through.
 #[derive(Debug, Default)]
 pub struct ObjBuilder {
     pairs: Vec<(String, Json)>,
@@ -486,6 +511,30 @@ mod tests {
         for doc in ["{", "[1,]", "\"abc", "{\"a\":}", "12 34", "nul"] {
             assert!(Json::parse(doc).is_err(), "{doc} should fail");
         }
+    }
+
+    #[test]
+    fn document_shapes_we_emit_parse() {
+        let doc = Json::parse(r#"{"a": [1, 2.5, -3e2], "b": {"c": "x\ny", "d": true}, "e": null}"#)
+            .unwrap();
+        let a = doc.get("a").unwrap().as_array().unwrap();
+        assert_eq!(a.len(), 3);
+        assert_eq!(a[2].as_f64(), Some(-300.0));
+        assert_eq!(
+            doc.get("b").unwrap().get("c").unwrap().as_str(),
+            Some("x\ny")
+        );
+        assert_eq!(doc.get("b").unwrap().get("d"), Some(&Json::Bool(true)));
+        assert_eq!(doc.get("e"), Some(&Json::Null));
+        assert!(Json::parse("{\"open\":").is_err());
+        assert!(Json::parse("[1, 2] junk").is_err());
+    }
+
+    #[test]
+    fn unicode_text_is_preserved() {
+        let doc = Json::parse(r#"{"s": "10⁶ agents — fast"}"#).unwrap();
+        assert_eq!(doc.get("s").unwrap().as_str(), Some("10⁶ agents — fast"));
+        assert_eq!(doc.to_json(), r#"{"s":"10⁶ agents — fast"}"#);
     }
 
     #[test]

@@ -70,6 +70,10 @@
 //! [`Telemetry`] handle.  Telemetry never consumes randomness — enabling it
 //! cannot change a trajectory (see the module docs for the contract).
 //!
+//! Every JSON document in the workspace — checkpoints, metrics, traces,
+//! scenario files, service messages, bench records — goes through the one
+//! codec in [`json`].
+//!
 //! ## Example
 //!
 //! ```
@@ -109,6 +113,7 @@ pub mod ensemble;
 pub mod error;
 pub mod fenwick;
 pub mod hybrid;
+pub mod json;
 pub mod opinion;
 pub mod parallel;
 pub mod protocol;

@@ -54,10 +54,10 @@
 //! assert!(trace.contains("\"traceEvents\""));
 //! ```
 
+use crate::json::{Json, ObjBuilder};
 use crate::run::MaintenanceStats;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -266,41 +266,40 @@ impl Telemetry {
         let mut tids: Vec<u32> = events.iter().map(|e| e.tid).collect();
         tids.sort_unstable();
         tids.dedup();
-        let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        let mut first = true;
-        for tid in &tids {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let label = if *tid == COORDINATOR_TID {
+        let text = |s: &str| Json::Str(s.to_string());
+        let tracks = tids.iter().map(|&tid| {
+            let label = if tid == COORDINATOR_TID {
                 "coordinator".to_string()
             } else {
                 format!("worker-{}", tid - 1)
             };
-            let _ = write!(
-                out,
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-                 \"args\":{{\"name\":\"{label}\"}}}}"
-            );
-        }
-        for e in &events {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"cat\":\"pp\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\
-                 \"ts\":{},\"dur\":{}}}",
-                escape_json(&e.name),
-                e.tid,
-                e.start_us,
-                e.end_us - e.start_us,
-            );
-        }
-        out.push_str("]}");
-        out
+            ObjBuilder::new()
+                .field("name", text("thread_name"))
+                .field("ph", text("M"))
+                .field("pid", Json::U64(1))
+                .field("tid", Json::U64(u64::from(tid)))
+                .field(
+                    "args",
+                    ObjBuilder::new().field("name", Json::Str(label)).build(),
+                )
+                .build()
+        });
+        let spans = events.iter().map(|e| {
+            ObjBuilder::new()
+                .field("name", text(&e.name))
+                .field("cat", text("pp"))
+                .field("ph", text("X"))
+                .field("pid", Json::U64(1))
+                .field("tid", Json::U64(u64::from(e.tid)))
+                .field("ts", Json::U64(e.start_us))
+                .field("dur", Json::U64(e.end_us - e.start_us))
+                .build()
+        });
+        ObjBuilder::new()
+            .field("displayTimeUnit", text("ms"))
+            .field("traceEvents", Json::Arr(tracks.chain(spans).collect()))
+            .build()
+            .to_json()
     }
 }
 
@@ -659,76 +658,39 @@ impl MetricsSnapshot {
     /// Renders the snapshot as one flat JSON object, keys sorted (counters,
     /// then gauges, then histograms; the name spaces are disjoint by
     /// construction).  Histograms render as
-    /// `{"count":…,"sum":…,"buckets":[[upper,count],…]}`.
+    /// `{"count":…,"sum":…,"buckets":[[upper,count],…]}`; non-finite
+    /// gauges render as `null`.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let mut first = true;
-        for (name, v) in &self.counters {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\"{}\":{}", escape_json(name), v);
-        }
-        for (name, v) in &self.gauges {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\"{}\":{}", escape_json(name), json_f64(*v));
-        }
-        for (name, h) in &self.histograms {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let buckets: Vec<String> = h
+        self.to_json_value().to_json()
+    }
+
+    /// The [`MetricsSnapshot::to_json`] object as a JSON value, for
+    /// embedding in larger documents.
+    #[must_use]
+    pub fn to_json_value(&self) -> Json {
+        let counters = self
+            .counters
+            .iter()
+            .map(|(name, v)| (name.clone(), Json::U64(*v)));
+        let gauges = self
+            .gauges
+            .iter()
+            .map(|(name, v)| (name.clone(), Json::F64(*v)));
+        let histograms = self.histograms.iter().map(|(name, h)| {
+            let buckets = h
                 .buckets
                 .iter()
-                .map(|b| format!("[{},{}]", b.upper, b.count))
+                .map(|b| Json::Arr(vec![Json::U64(b.upper), Json::U64(b.count)]))
                 .collect();
-            let _ = write!(
-                out,
-                "\"{}\":{{\"count\":{},\"sum\":{},\"buckets\":[{}]}}",
-                escape_json(name),
-                h.count,
-                h.sum,
-                buckets.join(","),
-            );
-        }
-        out.push('}');
-        out
-    }
-}
-
-/// Escapes a string for embedding in a JSON document.
-#[must_use]
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// NaN/∞-safe JSON number rendering (mirrors `usd_run`'s convention).
-#[must_use]
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
+            let value = ObjBuilder::new()
+                .field("count", Json::U64(h.count))
+                .field("sum", Json::U64(h.sum))
+                .field("buckets", Json::Arr(buckets))
+                .build();
+            (name.clone(), value)
+        });
+        Json::Obj(counters.chain(gauges).chain(histograms).collect())
     }
 }
 
@@ -946,6 +908,58 @@ mod tests {
         assert_eq!(snap.counter("maintenance.law_fallback_rebuilds"), Some(12));
         assert_eq!(snap.gauge("maintenance.rows_patched_fraction"), Some(0.9));
         assert_eq!(snap.gauge("maintenance.law_patched_fraction"), Some(0.25));
+    }
+
+    /// Byte goldens recorded before the writers moved onto the shared
+    /// JSON codec: `--metrics` and `--trace` output must not drift.
+    #[test]
+    fn metrics_and_trace_documents_keep_their_bytes() {
+        let mut snap = MetricsSnapshot::new();
+        snap.add_counter("engine.events", 12);
+        snap.add_counter("shard.epochs", u64::MAX);
+        snap.set_gauge("ensemble.shared_reuse_fraction", 0.125);
+        snap.set_gauge("bad", f64::INFINITY);
+        snap.merge_histogram(
+            "batched.skip",
+            &HistogramSnapshot {
+                count: 3,
+                sum: 9,
+                buckets: vec![
+                    BucketCount { upper: 1, count: 1 },
+                    BucketCount { upper: 7, count: 2 },
+                ],
+            },
+        );
+        assert_eq!(
+            snap.to_json(),
+            r#"{"engine.events":12,"shard.epochs":18446744073709551615,"bad":null,"ensemble.shared_reuse_fraction":0.125,"batched.skip":{"count":3,"sum":9,"buckets":[[1,1],[7,2]]}}"#
+        );
+
+        let tel = Telemetry::enabled();
+        tel.inner.as_ref().unwrap().spans.lock().unwrap().extend([
+            SpanEvent {
+                name: "usd.run".to_string(),
+                tid: 0,
+                start_us: 0,
+                end_us: 40,
+            },
+            SpanEvent {
+                name: "shard \"advance\"".to_string(),
+                tid: 2,
+                start_us: 5,
+                end_us: 9,
+            },
+            SpanEvent {
+                name: "shard.reconcile".to_string(),
+                tid: 0,
+                start_us: 10,
+                end_us: 12,
+            },
+        ]);
+        assert_eq!(
+            tel.chrome_trace_json(),
+            r#"{"displayTimeUnit":"ms","traceEvents":[{"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"coordinator"}},{"name":"thread_name","ph":"M","pid":1,"tid":2,"args":{"name":"worker-1"}},{"name":"usd.run","cat":"pp","ph":"X","pid":1,"tid":0,"ts":0,"dur":40},{"name":"shard.reconcile","cat":"pp","ph":"X","pid":1,"tid":0,"ts":10,"dur":2},{"name":"shard \"advance\"","cat":"pp","ph":"X","pid":1,"tid":2,"ts":5,"dur":4}]}"#
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! See `pp_service::protocol` for the message reference.  Determinism and
 //! crash-resume contracts are documented on the `pp_service` crate root.
 
-use pp_service::json::{Json, ObjBuilder};
+use pp_core::json::{Json, ObjBuilder};
 use pp_service::protocol::{error_reply, ok_reply, parse_request, Request};
 use pp_service::server::{JobStatus, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Write};

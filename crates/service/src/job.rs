@@ -16,8 +16,8 @@
 //! * `ckpt-<id>.json` — a [`pp_core::Checkpoint`] for a job halted
 //!   mid-run, removed when the job reaches a terminal state.
 
-use crate::json::{Json, ObjBuilder};
 use crate::scenario::ScenarioConfig;
+use pp_core::json::{Json, ObjBuilder};
 use std::path::{Path, PathBuf};
 
 /// The job-record format version.

@@ -51,7 +51,10 @@
 #![warn(missing_debug_implementations)]
 
 pub mod job;
-pub mod json;
+// The codec lives in `pp_core::json`; this path stays because callers
+// outside the workspace (the benchmark harness under `perfbench/`) import
+// `pp_service::json::Json` and match on its variants and accessors.
+pub use pp_core::json;
 pub mod protocol;
 pub mod runner;
 pub mod scenario;

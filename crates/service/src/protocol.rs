@@ -27,9 +27,9 @@
 //! schemas (CI runs them over live streams via `service_check`).
 
 use crate::job::{JobId, JobRecord, JobState};
-use crate::json::{Json, ObjBuilder};
 use crate::runner::ProgressEvent;
 use crate::scenario::ScenarioConfig;
+use pp_core::json::{Json, ObjBuilder};
 use pp_core::MetricsSnapshot;
 
 /// A parsed client request.

@@ -602,12 +602,13 @@ fn run_sampling_ensemble<D: SamplingDynamics + Clone + Send>(
 
 /// Renders a finished outcome as the service's canonical result JSON: only
 /// fields the determinism contract covers (no wall-clock times, no worker
-/// counts), so the same scenario always yields the same bytes — the payload
+/// counts, no lockstep round counts — those depend on where a resumed run
+/// was halted), so the same scenario always yields the same bytes — the payload
 /// `pp_serve` stores and `usd_run --scenario` prints are compared verbatim
 /// in `tests/service_equivalence.rs`.
 #[must_use]
 pub fn result_json(outcome: &ScenarioOutcome) -> String {
-    use crate::json::{Json, ObjBuilder};
+    use pp_core::json::{Json, ObjBuilder};
     fn outcome_name(outcome: RunOutcome) -> &'static str {
         match outcome {
             RunOutcome::Consensus => "consensus",
@@ -671,7 +672,6 @@ pub fn result_json(outcome: &ScenarioOutcome) -> String {
             .field("result", Json::U64(1))
             .field("mode", Json::Str("ensemble".to_string()))
             .field("replicas", Json::U64(outcome.len() as u64))
-            .field("rounds", Json::U64(outcome.rounds()))
             .field(
                 "total_interactions",
                 // u128 in-core; a real total always fits u64 (budgets are u64
@@ -949,9 +949,9 @@ mod tests {
         let a = result_json(&outcome);
         let b = result_json(&outcome);
         assert_eq!(a, b);
-        let doc = crate::json::Json::parse(&a).unwrap();
+        let doc = pp_core::json::Json::parse(&a).unwrap();
         assert_eq!(
-            doc.get("mode").and_then(crate::json::Json::as_str),
+            doc.get("mode").and_then(pp_core::json::Json::as_str),
             Some("single")
         );
         assert!(doc.get("run").is_some());
@@ -968,14 +968,14 @@ mod tests {
             panic!("replicas > 1 must produce an ensemble outcome");
         };
         assert_eq!(ensemble.len(), 3);
-        let doc = crate::json::Json::parse(&result_json(&outcome)).unwrap();
+        let doc = pp_core::json::Json::parse(&result_json(&outcome)).unwrap();
         assert_eq!(
-            doc.get("replicas").and_then(crate::json::Json::as_u64),
+            doc.get("replicas").and_then(pp_core::json::Json::as_u64),
             Some(3)
         );
         assert_eq!(
             doc.get("results")
-                .and_then(crate::json::Json::as_array)
+                .and_then(pp_core::json::Json::as_array)
                 .map(<[_]>::len),
             Some(3)
         );

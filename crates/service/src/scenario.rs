@@ -63,8 +63,8 @@
 //! 1:1), so a config rejected here is rejected with the same sentence
 //! `usd_run` would print.
 
-use crate::json::{Json, ObjBuilder};
 use pp_core::ensemble::EnsembleChoice;
+use pp_core::json::{Json, ObjBuilder};
 use pp_core::{EngineChoice, FidelityConfig, Parallelism};
 use pp_workloads::{BiasSpec, InitialConfig, UndecidedSpec};
 

@@ -373,7 +373,18 @@ impl Server {
     /// disk, so a later [`Server::open`] on the same state directory
     /// resumes them bit-exactly.
     pub fn kill(mut self) {
-        self.inner.kill.store(true, Ordering::SeqCst);
+        self.halt();
+    }
+
+    /// Raises the kill switch and joins the workers.  The switch is set
+    /// under the state lock: a worker checks it and then waits on
+    /// `work_cv` while holding that lock, so it either sees the switch or
+    /// is already waiting when the notify arrives — never in between.
+    fn halt(&mut self) {
+        {
+            let _state = self.inner.lock();
+            self.inner.kill.store(true, Ordering::SeqCst);
+        }
         self.inner.work_cv.notify_all();
         self.join();
     }
@@ -388,9 +399,7 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         if !self.workers.is_empty() {
-            self.inner.kill.store(true, Ordering::SeqCst);
-            self.inner.work_cv.notify_all();
-            self.join();
+            self.halt();
         }
     }
 }
@@ -649,6 +658,29 @@ mod tests {
         let err = server.submit(scenario(1).with_shards(4), 0).unwrap_err();
         assert_eq!(err, "--shards/--epoch require --engine sharded");
         server.shutdown();
+    }
+
+    /// `kill` used to raise its switch without the state lock, so a worker
+    /// between its kill check and its condvar wait could miss the wake-up
+    /// and hang the join forever.
+    #[test]
+    fn repeated_kills_never_hang() {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for seed in 0..200 {
+                let server = Server::open(ServerConfig {
+                    workers: Some(2),
+                    ..ServerConfig::default()
+                })
+                .unwrap();
+                server.submit(scenario(seed), 0).unwrap();
+                server.kill();
+            }
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("open -> submit -> kill hung or panicked within 10 s");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! watch (schema-validated event stream), result, shutdown — and the
 //! stored result is bit-identical to the standalone runner.
 
-use pp_service::json::Json;
+use pp_core::json::Json;
 use pp_service::protocol;
 use pp_service::runner::{result_json, run_scenario, RunControl, RunVerdict};
 use pp_service::scenario::ScenarioConfig;

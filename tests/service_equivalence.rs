@@ -166,3 +166,54 @@ fn cancellation_and_rejection_leave_neighbours_bit_identical() {
     assert_eq!(status.state, JobState::Done);
     server.shutdown();
 }
+
+/// A replica ensemble halted at its first pause boundary and resumed from
+/// the sunk checkpoint finishes on the uninterrupted run's canonical result
+/// bytes, seed after seed.  Scheduling statistics (lockstep rounds, cache
+/// hits) depend on where the halt fell and on the adaptive cache state a
+/// checkpoint deliberately omits, so the canonical result leaves them out.
+#[test]
+fn halted_ensembles_resume_to_identical_result_bytes() {
+    use k_opinion_usd::core::Checkpoint;
+    use k_opinion_usd::service::runner::Interrupt;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let dir = temp_dir("ensemble_halt");
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    for seed in 1..=8 {
+        let scenario = ScenarioConfig::new(4_000, 3)
+            .with_seed(seed)
+            .with_replicas(4);
+        let expected = standalone_json(&scenario);
+        let path = dir.join(format!("seed-{seed}.ckpt.json"));
+        let fired = AtomicBool::new(false);
+        let halt = || (!fired.swap(true, Ordering::Relaxed)).then_some(Interrupt::Halted);
+        let verdict = run_scenario(
+            &scenario,
+            RunControl {
+                interrupt: Some(&halt),
+                checkpoint: Some((&path, u64::MAX)),
+                ..RunControl::default()
+            },
+        )
+        .expect("halted leg");
+        assert_eq!(
+            verdict,
+            RunVerdict::Interrupted(Interrupt::Halted),
+            "seed {seed}"
+        );
+        let checkpoint = Checkpoint::load(&path).expect("load the halt checkpoint");
+        let RunVerdict::Finished(outcome) = run_scenario(
+            &scenario,
+            RunControl {
+                resume: Some(&checkpoint),
+                ..RunControl::default()
+            },
+        )
+        .expect("resumed leg") else {
+            panic!("a resumed leg without interrupts must finish");
+        };
+        assert_eq!(result_json(&outcome), expected, "seed {seed}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
