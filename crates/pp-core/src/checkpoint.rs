@@ -386,14 +386,15 @@ impl Checkpoint {
         })
     }
 
-    /// Writes the JSON document to `path` and returns the bytes written.
+    /// Writes the JSON document to `path` (atomically, see
+    /// [`write_atomic`]) and returns the bytes written.
     ///
     /// # Errors
     ///
     /// Returns [`PpError::Checkpoint`] wrapping the I/O failure.
     pub fn save(&self, path: &Path) -> Result<u64, PpError> {
         let json = self.to_json();
-        std::fs::write(path, &json).map_err(|e| {
+        write_atomic(path, json.as_bytes()).map_err(|e| {
             bad(&format!(
                 "failed to write checkpoint {}: {e}",
                 path.display()
@@ -440,6 +441,31 @@ impl Checkpoint {
             self.kind()
         ))
     }
+}
+
+/// Replaces `path` with `contents` all at once: the bytes go to a sibling
+/// temporary file, which is then renamed over the target.  A process killed
+/// mid-write leaves either the old file or the new one, never a truncated
+/// one (the temporary file may survive such a kill; it is never read).
+///
+/// # Errors
+///
+/// Returns the I/O error of the write or the rename; the temporary file is
+/// removed on either failure.
+pub fn write_atomic(path: &Path, contents: &[u8]) -> std::io::Result<()> {
+    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(format!(
+        ".{}-{}.tmp",
+        std::process::id(),
+        NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    ));
+    let tmp = path.with_file_name(name);
+    let written = std::fs::write(&tmp, contents).and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
 /// Shorthand for a named checkpoint diagnostic.
@@ -930,5 +956,31 @@ mod tests {
             Err(PpError::Checkpoint { .. })
         ));
         let _ = std::fs::remove_file(path);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn save_replaces_an_existing_file_by_rename() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = std::env::temp_dir().join(format!("pp_core_atomic_save_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ckpt.json");
+        let first = Checkpoint::new(EngineState::Exact(sample_snapshot()));
+        first.save(&path).unwrap();
+        let inode = std::fs::metadata(&path).unwrap().ino();
+        let second = first.clone().with_meta("sim.seed", 7);
+        second.save(&path).unwrap();
+        // A rename puts a new inode at the path; an in-place overwrite
+        // (truncate, then write — an empty file if killed in between)
+        // would keep the old one.
+        assert_ne!(std::fs::metadata(&path).unwrap().ino(), inode);
+        assert_eq!(Checkpoint::load(&path).unwrap(), second);
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["ckpt.json"], "no temporary file is left behind");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

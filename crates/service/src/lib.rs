@@ -10,9 +10,11 @@
 //!   parallelism plan, the stop budget, and the progress-sampling knobs.
 //!   See the module docs for the full schema reference.
 //! * [`runner`] — [`run_scenario`], the single code path that executes a
-//!   scenario, shared by the server's workers and `usd_run --scenario`.
-//!   [`RunControl`] threads in progress, interrupt, checkpoint and resume
-//!   hooks; none of them consumes randomness.
+//!   scenario, shared by the server's workers and `usd_run` (whose flags
+//!   are parsed into a [`ScenarioConfig`]; `--scenario` reads one from a
+//!   file).  [`RunControl`] threads in progress, interrupt, checkpoint,
+//!   resume, recorder and telemetry hooks; none of them consumes
+//!   randomness.
 //! * [`job`] + [`server`] — a [`JobId`]-keyed priority FIFO with a bounded
 //!   worker pool, lifecycle tracking (`Queued → Running → Done / Failed /
 //!   Cancelled`), sequence-numbered streamed progress events, cancellation,
@@ -38,11 +40,11 @@
 //! ## Resume contract
 //!
 //! With a state directory, a killed server (crash or [`Server::kill`])
-//! leaves every in-flight USD job as a `running` record plus a checkpoint
+//! leaves every in-flight job as a `running` record plus a checkpoint
 //! captured at an exact pause boundary; reopening the directory re-queues
 //! and resumes those jobs, and their results are bit-identical to the
-//! never-interrupted run.  Sampling-dynamic jobs have no mid-run capture
-//! seam — they restart from scratch and reach the same result by
+//! never-interrupted run.  Sampling-dynamic *ensembles* have no mid-run
+//! capture seam — they restart from scratch and reach the same result by
 //! determinism alone, repaying only wall time.  Canonical result documents
 //! are stored verbatim, so `result` replies survive restarts byte-for-byte.
 

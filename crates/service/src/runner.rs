@@ -1,52 +1,70 @@
 //! The one place a [`ScenarioConfig`] turns into a running simulation.
 //!
-//! Both front-ends call [`run_scenario`] — `pp_serve`'s worker threads and
-//! `usd_run --scenario` — so "submit a job" and "run it by hand" are the
-//! same code path, and the determinism contract (same scenario + seed ⇒
-//! bit-identical result, regardless of queueing, concurrency, pauses or
-//! crash/resume cycles) reduces to the engine-layer contracts already
-//! pinned in `pp_core`/`usd_core`.
+//! Every front-end calls [`run_scenario`]: `pp_serve`'s worker threads,
+//! `usd_run --scenario FILE`, and `usd_run` with ordinary flags — the CLI
+//! *is* a scenario front-end that parses its flags into a
+//! [`ScenarioConfig`] and adds only its output sinks (a trajectory
+//! recorder and a telemetry handle, both [`RunControl`] hooks).  "Submit a
+//! job", "run a scenario file" and "type the flags" are one code path, so
+//! they accept, reject and compute alike by construction, and the
+//! determinism contract (same scenario + seed ⇒ bit-identical result,
+//! regardless of queueing, concurrency, pauses or crash/resume cycles)
+//! reduces to the engine-layer contracts pinned in `pp_core`/`usd_core`.
 //!
-//! ## Equivalence with `usd_run`
+//! ## Derivations
 //!
-//! The runner reproduces the CLI's exact derivations: configurations come
-//! from the same [`InitialConfig`](pp_workloads::InitialConfig) builder
-//! calls, the run seed is `SimSeed::from_u64(seed).child(1)` on every path,
-//! the replica ensemble seeds replica `i` with `master.child(i)`, and the
-//! stop condition is consensus-or-budget with the CLI's budget formula.
-//! Attaching recorders, telemetry, checkpoints or pause hooks consumes no
-//! randomness, so none of the service machinery can move a trajectory.
+//! Configurations come from [`ScenarioConfig::to_initial_config`], the run
+//! seed is `SimSeed::from_u64(seed).child(1)` on every path, the replica
+//! ensemble seeds replica `i` with `master.child(i)`, and the stop
+//! condition is consensus-or-[`ScenarioConfig::interaction_budget`].
+//! Recorders, telemetry, checkpoints and pause hooks consume no randomness,
+//! so none of them can move a trajectory.
 //!
-//! ## Interrupts
+//! ## Pauses and interrupts
 //!
-//! Single USD runs pause cooperatively between `advance` calls (the
-//! checkpoint-exact boundary) via `UsdSimulator::run_interruptible`;
-//! replica ensembles pause between lockstep windows via
-//! `UsdEnsemble::run_windows`; single sampling-dynamic runs pause between
-//! activations (exact stepping) or between skip-ahead `advance` calls
-//! (batched) via `SequentialSampler::run_interruptible` /
-//! `run_engine_interruptible`.  All three resume bit-exactly — in place or
-//! from a persisted [`Checkpoint`] in a fresh process.  Sampler
-//! checkpoints carry the replica snapshot in the `exact` engine slot,
-//! stamped with `sampler.format`/`sampler.dynamic` meta so feeding one to
-//! a USD scenario (or vice versa, or to the wrong dynamic) fails loudly
-//! instead of silently diverging.  Sampling *ensembles* remain the one
-//! seam-free path: they run to completion and re-run from scratch after a
-//! crash (determinism makes the re-run's result identical — it just costs
-//! wall time).
+//! Without an interrupt hook or a progress sink a run is driven in one
+//! call, so an ensemble's `rounds` and shared-cache statistics cover the
+//! whole run.  With either hook, single USD runs pause cooperatively
+//! between `advance` calls (the checkpoint-exact boundary) via
+//! `UsdSimulator::run_interruptible`; replica ensembles pause between
+//! lockstep windows via `UsdEnsemble::run_windows`; single sampling-dynamic
+//! runs pause between activations (exact stepping) or between skip-ahead
+//! `advance` calls (batched) via `SequentialSampler::run_interruptible` /
+//! `run_engine_interruptible` — and also at the checkpoint cadence, since
+//! the sampler has no in-engine checkpoint sink.  All three resume
+//! bit-exactly — in place or from a persisted [`Checkpoint`] in a fresh
+//! process.  Sampler checkpoints carry the replica snapshot in the `exact`
+//! engine slot, stamped with `sampler.format`/`sampler.dynamic`/
+//! `sampler.engine` meta so feeding one to a USD scenario (or vice versa,
+//! or to the wrong dynamic) fails loudly instead of silently diverging.
+//! Sampling *ensembles* remain the one seam-free path: they run to
+//! completion and re-run from scratch after a crash (determinism makes the
+//! re-run's result identical — it just costs wall time).
+//!
+//! ## Resume guards
+//!
+//! A checkpoint resumes only under the scenario it was captured from.  The
+//! interaction budget derives from `n` and `k`, and resuming toward a
+//! different budget breaks bit-exactness, so a capture whose population or
+//! opinion count differs from the scenario's is a named error, on every
+//! resume path.  So is an explicit `engine` that differs from the backend
+//! the checkpoint holds ([`checkpoint_engine`]); an unset `engine` resumes
+//! on the checkpoint's backend.
 
 use crate::scenario::{Dynamic, ScenarioConfig};
 use consensus_dynamics::{
     sampler_ensemble, JMajority, MedianRule, SamplingDynamics, SequentialSampler, ThreeMajority,
     TwoChoices, Voter,
 };
-use pp_core::checkpoint::ReplicaCheckpoint;
-use pp_core::ensemble::EnsembleRunResult;
+use pp_core::checkpoint::{EngineState, ReplicaCheckpoint};
+use pp_core::engine::StepEngine;
+use pp_core::ensemble::{EnsembleChoice, EnsembleRunResult};
 use pp_core::{
-    Checkpoint, Configuration, EngineChoice, MetricsSnapshot, RunOutcome, RunResult, SimSeed,
-    StopCondition, Telemetry,
+    Checkpoint, Configuration, EngineChoice, MetricsSnapshot, NullRecorder, Recorder, RunOutcome,
+    RunResult, SimSeed, StopCondition, Telemetry,
 };
 use std::path::Path;
+use usd_core::{HybridEngine, UsdEnsemble, UsdSimulator};
 
 /// How many lockstep windows a replica ensemble advances between interrupt
 /// polls and progress events.
@@ -100,8 +118,8 @@ pub struct ProgressEvent {
     pub metrics: Option<MetricsSnapshot>,
 }
 
-/// Hooks the service layer threads through a run.  `RunControl::default()`
-/// runs to completion silently — exactly what `usd_run --scenario` wants.
+/// Hooks a front-end threads through a run.  `RunControl::default()` runs
+/// to completion in one call, silently and without telemetry.
 #[derive(Default)]
 pub struct RunControl<'a> {
     /// Progress event sink.
@@ -118,6 +136,13 @@ pub struct RunControl<'a> {
     /// (single USD, USD-ensemble, and single sampling-dynamic
     /// checkpoints).
     pub resume: Option<&'a Checkpoint>,
+    /// Observes a single run (`replicas == 1`): the starting configuration
+    /// once, then every state change.  Ensembles ignore it.  Without one
+    /// the event loop stays statically dispatched to [`NullRecorder`].
+    pub recorder: Option<&'a mut dyn Recorder>,
+    /// The telemetry handle attached to the engines (disabled by default);
+    /// progress events snapshot its registry.
+    pub telemetry: Telemetry,
 }
 
 impl std::fmt::Debug for RunControl<'_> {
@@ -128,6 +153,8 @@ impl std::fmt::Debug for RunControl<'_> {
             .field("interrupt", &self.interrupt.is_some())
             .field("checkpoint", &self.checkpoint)
             .field("resume", &self.resume.map(Checkpoint::kind))
+            .field("recorder", &self.recorder.is_some())
+            .field("telemetry", &self.telemetry.is_enabled())
             .finish()
     }
 }
@@ -136,189 +163,203 @@ impl RunControl<'_> {
     fn poll(&self) -> Option<Interrupt> {
         self.interrupt.and_then(|f| f())
     }
+
+    /// Whether the run stops at pause boundaries: only to poll an
+    /// interrupt hook or to emit progress.
+    fn pauses(&self) -> bool {
+        self.interrupt.is_some() || self.progress.is_some()
+    }
+
+    /// The progress cadence for a population of `n` agents.
+    fn progress_cadence(&self, n: u64) -> u64 {
+        if self.progress_every == 0 {
+            n.max(1)
+        } else {
+            self.progress_every
+        }
+    }
 }
 
-/// Runs a scenario to its stop condition (or first interrupt), mirroring
-/// `usd_run` exactly — see the module docs for the equivalence argument.
+/// Binds `$dynamics` to the scenario's sampling dynamic and evaluates
+/// `$body` with it.
+macro_rules! with_sampling_dynamic {
+    ($scenario:expr, $dynamics:ident => $body:expr) => {{
+        let k = $scenario.opinions;
+        match $scenario.dynamic {
+            Dynamic::Voter => {
+                let $dynamics = Voter::new(k);
+                $body
+            }
+            Dynamic::TwoChoices => {
+                let $dynamics = TwoChoices::new(k);
+                $body
+            }
+            Dynamic::ThreeMajority => {
+                let $dynamics = ThreeMajority::new(k);
+                $body
+            }
+            Dynamic::JMajority => {
+                let $dynamics = JMajority::new(k, $scenario.majority_samples);
+                $body
+            }
+            Dynamic::Median => {
+                let $dynamics = MedianRule::new(k);
+                $body
+            }
+            Dynamic::Usd => unreachable!("the USD is not a sampling dynamic"),
+        }
+    }};
+}
+
+/// Runs a scenario to its stop condition (or first interrupt) — see the
+/// module docs for the derivations and the pause rule.
 ///
 /// # Errors
 ///
-/// Returns the CLI's diagnostics for invalid scenarios, impossible
-/// configurations, unsupported engine/dynamic combinations and broken
+/// Returns [`ScenarioConfig::validate`]'s diagnostics for invalid
+/// scenarios, and named diagnostics for impossible configurations,
+/// unsupported engine/dynamic combinations, and broken or mismatched
 /// resume checkpoints.
 pub fn run_scenario(
     scenario: &ScenarioConfig,
     mut control: RunControl<'_>,
 ) -> Result<RunVerdict, String> {
     scenario.validate()?;
-    let spec = scenario.to_initial_config();
+    if let Some(checkpoint) = control.resume {
+        check_resumed_engine(scenario, checkpoint)?;
+    }
     let seed = SimSeed::from_u64(scenario.seed);
-    let budget = scenario.interaction_budget();
-    let stop = StopCondition::consensus().or_max_interactions(budget);
-    let tel = if control.progress.is_some() {
-        Telemetry::enabled()
-    } else {
-        Telemetry::disabled()
-    };
-
-    if scenario.replicas > 1 {
-        let (config, choice) = spec.build_ensemble(seed).map_err(|e| e.to_string())?;
-        let run_seed = seed.child(1);
-        if scenario.dynamic == Dynamic::Usd {
-            let mut ensemble = match control.resume {
-                Some(checkpoint) => usd_core::UsdEnsemble::restore(checkpoint, choice)
-                    .map_err(|e| format!("cannot resume: {e}"))?,
-                None => usd_core::UsdEnsemble::try_new(config, run_seed, choice)
-                    .map_err(|e| e.to_string())?,
-            };
-            ensemble.set_telemetry(tel.clone());
-            loop {
-                match ensemble.run_windows(stop, ENSEMBLE_WINDOWS_PER_SLICE) {
-                    Some(outcome) => {
-                        return Ok(RunVerdict::Finished(ScenarioOutcome::Ensemble(outcome)))
-                    }
-                    None => {
-                        if let Some(kind) = control.poll() {
-                            if kind == Interrupt::Halted {
-                                if let Some((path, _)) = control.checkpoint {
-                                    ensemble
-                                        .capture()
-                                        .save(path)
-                                        .map_err(|e| format!("cannot checkpoint: {e}"))?;
-                                }
-                            }
-                            return Ok(RunVerdict::Interrupted(kind));
-                        }
-                        emit(&mut control.progress, &tel, None, None);
-                    }
-                }
-            }
+    let stop = StopCondition::consensus().or_max_interactions(scenario.interaction_budget());
+    match (scenario.replicas > 1, scenario.dynamic) {
+        (true, Dynamic::Usd) => run_usd_ensemble(scenario, seed, stop, &mut control),
+        (true, _) => {
+            let config = scenario.initial_configuration()?;
+            let choice = scenario.ensemble_choice();
+            let outcome = with_sampling_dynamic!(scenario, dynamics => run_sampling_ensemble(
+                dynamics,
+                &config,
+                seed.child(1),
+                choice,
+                stop,
+                &control.telemetry,
+            ))?;
+            Ok(RunVerdict::Finished(ScenarioOutcome::Ensemble(outcome)))
         }
-        let outcome = match scenario.dynamic {
-            Dynamic::Voter => run_sampling_ensemble(
-                Voter::new(scenario.opinions),
-                config,
-                run_seed,
-                choice,
-                stop,
-                &tel,
-            ),
-            Dynamic::TwoChoices => run_sampling_ensemble(
-                TwoChoices::new(scenario.opinions),
-                config,
-                run_seed,
-                choice,
-                stop,
-                &tel,
-            ),
-            Dynamic::ThreeMajority => run_sampling_ensemble(
-                ThreeMajority::new(scenario.opinions),
-                config,
-                run_seed,
-                choice,
-                stop,
-                &tel,
-            ),
-            Dynamic::JMajority => run_sampling_ensemble(
-                JMajority::new(scenario.opinions, scenario.majority_samples),
-                config,
-                run_seed,
-                choice,
-                stop,
-                &tel,
-            ),
-            Dynamic::Median => run_sampling_ensemble(
-                MedianRule::new(scenario.opinions),
-                config,
-                run_seed,
-                choice,
-                stop,
-                &tel,
-            ),
-            Dynamic::Usd => unreachable!("handled above"),
-        }?;
-        return Ok(RunVerdict::Finished(ScenarioOutcome::Ensemble(outcome)));
-    }
-
-    if scenario.dynamic == Dynamic::Usd {
-        return run_single_usd(scenario, &spec, seed, stop, &tel, &mut control);
-    }
-
-    // Single sampling dynamic: pauses between activations (exact) or
-    // skip-ahead `advance` calls (batched) — the capture-exact boundaries.
-    let config = match control.resume {
-        // A resumed run takes its counts from the checkpoint.
-        Some(_) => None,
-        None => Some(
-            spec.build(seed)
-                .map_err(|e| format!("invalid configuration: {e}"))?,
-        ),
-    };
-    let run_seed = seed.child(1);
-    let engine = scenario.effective_engine();
-    match scenario.dynamic {
-        Dynamic::Voter => run_sampling_dynamic(
-            Voter::new(scenario.opinions),
-            Dynamic::Voter,
-            config,
-            run_seed,
-            engine,
+        (false, Dynamic::Usd) => run_single_usd(scenario, seed, stop, &mut control),
+        (false, dynamic) => with_sampling_dynamic!(scenario, dynamics => run_sampling_dynamic(
+            dynamics,
+            dynamic,
+            scenario,
+            seed,
             stop,
             &mut control,
-        ),
-        Dynamic::TwoChoices => run_sampling_dynamic(
-            TwoChoices::new(scenario.opinions),
-            Dynamic::TwoChoices,
-            config,
-            run_seed,
-            engine,
-            stop,
-            &mut control,
-        ),
-        Dynamic::ThreeMajority => run_sampling_dynamic(
-            ThreeMajority::new(scenario.opinions),
-            Dynamic::ThreeMajority,
-            config,
-            run_seed,
-            engine,
-            stop,
-            &mut control,
-        ),
-        Dynamic::JMajority => run_sampling_dynamic(
-            JMajority::new(scenario.opinions, scenario.majority_samples),
-            Dynamic::JMajority,
-            config,
-            run_seed,
-            engine,
-            stop,
-            &mut control,
-        ),
-        Dynamic::Median => run_sampling_dynamic(
-            MedianRule::new(scenario.opinions),
-            Dynamic::Median,
-            config,
-            run_seed,
-            engine,
-            stop,
-            &mut control,
-        ),
-        Dynamic::Usd => unreachable!("handled above"),
+        )),
     }
 }
 
-/// A single USD run through the cooperative pause seam.
-fn run_single_usd(
+/// The backend a checkpoint resumes on: the stamped engine of a sampler
+/// capture, `hybrid` for a hybrid capture (whichever backend was active
+/// when it was taken), `batched` for a replica ensemble, and the engine
+/// kind otherwise.  `None` for sampler captures without an engine stamp.
+#[must_use]
+pub fn checkpoint_engine(checkpoint: &Checkpoint) -> Option<EngineChoice> {
+    if checkpoint.meta(SAMPLER_FORMAT_META).is_some() {
+        return checkpoint
+            .meta(SAMPLER_ENGINE_META)
+            .and_then(|i| usize::try_from(i).ok())
+            .and_then(|i| SAMPLER_ENGINES.get(i))
+            .copied();
+    }
+    if HybridEngine::is_hybrid_checkpoint(checkpoint) {
+        return Some(EngineChoice::Hybrid);
+    }
+    match checkpoint.engine() {
+        EngineState::Ensemble(_) => Some(EngineChoice::Batched),
+        _ => checkpoint.kind().parse().ok(),
+    }
+}
+
+/// Rejects resuming under an explicit engine other than the checkpoint's.
+fn check_resumed_engine(scenario: &ScenarioConfig, checkpoint: &Checkpoint) -> Result<(), String> {
+    match (scenario.engine, checkpoint_engine(checkpoint)) {
+        (Some(asked), Some(held)) if asked != held => Err(format!(
+            "cannot resume: the checkpoint holds {held} engine state but --engine says \
+             {asked}: the backend rides in the checkpoint, so drop the flag or pass the \
+             matching one"
+        )),
+        _ => Ok(()),
+    }
+}
+
+/// Rejects a checkpoint captured from a run over `n` agents and `k`
+/// opinions when the scenario says otherwise.
+fn check_captured_shape(scenario: &ScenarioConfig, n: u64, k: usize) -> Result<(), String> {
+    if n == scenario.population && k == scenario.opinions {
+        return Ok(());
+    }
+    Err(format!(
+        "cannot resume: the checkpoint was captured from a run with n={n}, k={k}, but the \
+         scenario says n={}, k={}: the interaction budget derives from n and k, and resuming \
+         toward a different budget breaks bit-exactness — pass the original values",
+        scenario.population, scenario.opinions
+    ))
+}
+
+/// A USD replica ensemble: one `run` call, or lockstep windows between
+/// pauses when the control pauses.
+fn run_usd_ensemble(
     scenario: &ScenarioConfig,
-    spec: &pp_workloads::InitialConfig,
     seed: SimSeed,
     stop: StopCondition,
-    tel: &Telemetry,
     control: &mut RunControl<'_>,
 ) -> Result<RunVerdict, String> {
-    let mut plan = spec.shard_plan();
-    if let Some(epoch) = scenario.epoch {
-        plan = plan.epoch_interactions(epoch);
+    let choice = scenario.ensemble_choice();
+    let mut ensemble = match control.resume {
+        Some(checkpoint) => {
+            if let EngineState::Ensemble(snapshot) = checkpoint.engine() {
+                if let Some(replica) = snapshot.replicas.first() {
+                    let n = replica.supports.iter().sum::<u64>() + replica.undecided;
+                    check_captured_shape(scenario, n, replica.supports.len())?;
+                }
+            }
+            UsdEnsemble::restore(checkpoint, choice).map_err(|e| format!("cannot resume: {e}"))?
+        }
+        None => UsdEnsemble::try_new(scenario.initial_configuration()?, seed.child(1), choice)
+            .map_err(|e| e.to_string())?,
+    };
+    ensemble.set_telemetry(control.telemetry.clone());
+    if !control.pauses() {
+        return Ok(RunVerdict::Finished(ScenarioOutcome::Ensemble(
+            ensemble.run(stop),
+        )));
     }
+    loop {
+        if let Some(outcome) = ensemble.run_windows(stop, ENSEMBLE_WINDOWS_PER_SLICE) {
+            return Ok(RunVerdict::Finished(ScenarioOutcome::Ensemble(outcome)));
+        }
+        if let Some(kind) = control.poll() {
+            if kind == Interrupt::Halted {
+                if let Some((path, _)) = control.checkpoint {
+                    ensemble
+                        .capture()
+                        .save(path)
+                        .map_err(|e| format!("cannot checkpoint: {e}"))?;
+                }
+            }
+            return Ok(RunVerdict::Interrupted(kind));
+        }
+        emit(&mut control.progress, &control.telemetry, None, None);
+    }
+}
+
+/// A single USD run, restored from the resume checkpoint or built fresh.
+fn run_single_usd(
+    scenario: &ScenarioConfig,
+    seed: SimSeed,
+    stop: StopCondition,
+    control: &mut RunControl<'_>,
+) -> Result<RunVerdict, String> {
+    let plan = scenario.shard_plan();
     let mut sim = match control.resume {
         Some(checkpoint) => {
             if checkpoint.meta(SAMPLER_FORMAT_META).is_some() {
@@ -328,32 +369,50 @@ fn run_single_usd(
                         .to_string(),
                 );
             }
-            usd_core::UsdSimulator::restore(checkpoint, plan)
-                .map_err(|e| format!("cannot resume: {e}"))?
+            let sim = UsdSimulator::restore(checkpoint, plan)
+                .map_err(|e| format!("cannot resume: {e}"))?;
+            let initial = sim.initial_configuration();
+            check_captured_shape(scenario, initial.population(), initial.num_opinions())?;
+            sim
         }
-        None => {
-            let config = spec
-                .build(seed)
-                .map_err(|e| format!("invalid configuration: {e}"))?;
-            usd_core::UsdSimulator::with_engine_fidelity(
-                config,
-                seed.child(1),
-                spec.engine_choice(),
-                plan,
-                spec.fidelity_config(),
-            )
-        }
+        None => UsdSimulator::with_engine_fidelity(
+            scenario.initial_configuration()?,
+            seed.child(1),
+            scenario.effective_engine(),
+            plan,
+            scenario.effective_fidelity(),
+        ),
     };
-    sim.set_telemetry(tel.clone());
+    sim.set_telemetry(control.telemetry.clone());
     if let Some((path, every)) = control.checkpoint {
         sim.set_checkpoint_sink(path, every);
     }
-    let progress_every = if control.progress_every == 0 {
-        scenario.population.max(1)
-    } else {
-        control.progress_every
-    };
-    let mut recorder = pp_core::NullRecorder;
+    let n = scenario.population;
+    match control.recorder.take() {
+        Some(recorder) => {
+            let mut forward = |i: u64, c: &Configuration| recorder.record(i, c);
+            drive_usd(&mut sim, stop, &mut forward, control, n)
+        }
+        None => drive_usd(&mut sim, stop, &mut NullRecorder, control, n),
+    }
+}
+
+/// Drives a single USD run in one call, or — when the control pauses —
+/// through the cooperative pause seam, recording the starting
+/// configuration once either way.
+fn drive_usd<R: Recorder>(
+    sim: &mut UsdSimulator,
+    stop: StopCondition,
+    recorder: &mut R,
+    control: &mut RunControl<'_>,
+    n: u64,
+) -> Result<RunVerdict, String> {
+    if !control.pauses() {
+        let result = sim.run_recorded(stop, recorder);
+        return Ok(RunVerdict::Finished(ScenarioOutcome::Single(result)));
+    }
+    recorder.record(sim.interactions(), sim.configuration());
+    let progress_every = control.progress_cadence(n);
     let mut next_progress = sim.interactions().saturating_add(progress_every);
     loop {
         // The hook polls the interrupt exactly once per pause boundary and
@@ -361,36 +420,34 @@ fn run_single_usd(
         // Pausing consumes no RNG.
         let want_interrupt = control.interrupt;
         let mut pending: Option<Interrupt> = None;
-        let result = sim.run_interruptible(stop, &mut recorder, &mut |i| {
+        let result = sim.run_interruptible(stop, recorder, &mut |i| {
             if let Some(kind) = want_interrupt.and_then(|f| f()) {
                 pending = Some(kind);
                 return true;
             }
             i >= next_progress
         });
-        match result {
-            Some(result) => return Ok(RunVerdict::Finished(ScenarioOutcome::Single(result))),
-            None => {
-                if let Some(kind) = pending {
-                    if kind == Interrupt::Halted {
-                        if let Some((path, _)) = control.checkpoint {
-                            sim.capture()
-                                .map_err(|e| format!("cannot checkpoint: {e}"))?
-                                .save(path)
-                                .map_err(|e| format!("cannot checkpoint: {e}"))?;
-                        }
-                    }
-                    return Ok(RunVerdict::Interrupted(kind));
-                }
-                emit(
-                    &mut control.progress,
-                    tel,
-                    Some(sim.interactions()),
-                    Some(sim.configuration()),
-                );
-                next_progress = sim.interactions().saturating_add(progress_every);
-            }
+        if let Some(result) = result {
+            return Ok(RunVerdict::Finished(ScenarioOutcome::Single(result)));
         }
+        if let Some(kind) = pending {
+            if kind == Interrupt::Halted {
+                if let Some((path, _)) = control.checkpoint {
+                    sim.capture()
+                        .map_err(|e| format!("cannot checkpoint: {e}"))?
+                        .save(path)
+                        .map_err(|e| format!("cannot checkpoint: {e}"))?;
+                }
+            }
+            return Ok(RunVerdict::Interrupted(kind));
+        }
+        emit(
+            &mut control.progress,
+            &control.telemetry,
+            Some(sim.interactions()),
+            Some(sim.configuration()),
+        );
+        next_progress = sim.interactions().saturating_add(progress_every);
     }
 }
 
@@ -420,6 +477,12 @@ const SAMPLER_FORMAT_META: &str = "sampler.format";
 /// into [`Dynamic::ALL`]), so resuming under a different dynamic fails
 /// loudly instead of silently diverging.
 const SAMPLER_DYNAMIC_META: &str = "sampler.dynamic";
+/// The meta stamp naming the stepping the sampler ran with (an index into
+/// [`SAMPLER_ENGINES`]): per-activation and skip-ahead stepping draw
+/// differently, so a resume continues on the captured one.
+const SAMPLER_ENGINE_META: &str = "sampler.engine";
+/// The backends a sampling dynamic runs on, in stamp order.
+const SAMPLER_ENGINES: [EngineChoice; 2] = [EngineChoice::Exact, EngineChoice::Batched];
 
 fn dynamic_index(dynamic: Dynamic) -> u64 {
     Dynamic::ALL
@@ -431,12 +494,16 @@ fn dynamic_index(dynamic: Dynamic) -> u64 {
 fn capture_sampler<D: SamplingDynamics + Clone>(
     sim: &SequentialSampler<D>,
     dynamic: Dynamic,
+    engine: EngineChoice,
 ) -> Checkpoint {
-    Checkpoint::new(pp_core::checkpoint::EngineState::Exact(
-        sim.capture_replica(),
-    ))
-    .with_meta(SAMPLER_FORMAT_META, 1)
-    .with_meta(SAMPLER_DYNAMIC_META, dynamic_index(dynamic))
+    let engine_index = SAMPLER_ENGINES
+        .iter()
+        .position(|&e| e == engine)
+        .expect("samplers run on the exact or batched engine") as u64;
+    Checkpoint::new(EngineState::Exact(sim.capture_replica()))
+        .with_meta(SAMPLER_FORMAT_META, 1)
+        .with_meta(SAMPLER_DYNAMIC_META, dynamic_index(dynamic))
+        .with_meta(SAMPLER_ENGINE_META, engine_index)
 }
 
 fn restore_sampler<D: SamplingDynamics + Clone>(
@@ -477,28 +544,31 @@ fn restore_sampler<D: SamplingDynamics + Clone>(
         .map_err(|e| format!("cannot resume: {e}"))
 }
 
-/// Mirrors `usd_run`'s single sampling-dynamic path (same engine gating
-/// and diagnostics), threading the cooperative pause seam through
-/// [`SequentialSampler::run_interruptible`] (exact) or
-/// [`SequentialSampler::run_engine_interruptible`] (batched): interrupts,
-/// progress events and checkpoint captures all happen at activation or
-/// `advance`-call boundaries, where the replica snapshot is exact.
+/// A single sampling-dynamic run on the exact (per-activation) or batched
+/// (skip-ahead) engine, restored from the resume checkpoint or built fresh.
 fn run_sampling_dynamic<D: SamplingDynamics + Clone>(
     dynamics: D,
     dynamic: Dynamic,
-    config: Option<Configuration>,
+    scenario: &ScenarioConfig,
     seed: SimSeed,
-    engine: EngineChoice,
     stop: StopCondition,
     control: &mut RunControl<'_>,
 ) -> Result<RunVerdict, String> {
     let name = dynamics.name().to_string();
-    let mut sim = match (control.resume, config) {
-        (Some(checkpoint), _) => restore_sampler(&dynamics, dynamic, checkpoint)?,
-        (None, Some(config)) => {
-            SequentialSampler::try_new(dynamics, config, seed).map_err(|e| e.to_string())?
+    let (mut sim, engine) = match control.resume {
+        Some(checkpoint) => {
+            let sim = restore_sampler(&dynamics, dynamic, checkpoint)?;
+            let captured = sim.configuration();
+            check_captured_shape(scenario, captured.population(), captured.num_opinions())?;
+            let engine =
+                checkpoint_engine(checkpoint).unwrap_or_else(|| scenario.effective_engine());
+            (sim, engine)
         }
-        (None, None) => unreachable!("run_scenario builds a configuration when not resuming"),
+        None => (
+            SequentialSampler::try_new(dynamics, scenario.initial_configuration()?, seed.child(1))
+                .map_err(|e| e.to_string())?,
+            scenario.effective_engine(),
+        ),
     };
     if engine == EngineChoice::Batched {
         sim.require_skip_ahead().map_err(|e| {
@@ -508,23 +578,44 @@ fn run_sampling_dynamic<D: SamplingDynamics + Clone>(
             )
         })?;
     }
-    let every = if control.progress_every == 0 {
-        sim.configuration().population().max(1)
-    } else {
-        control.progress_every
-    };
+    match control.recorder.take() {
+        Some(recorder) => {
+            let mut forward = |i: u64, c: &Configuration| recorder.record(i, c);
+            drive_sampler(&mut sim, dynamic, engine, stop, &mut forward, control)
+        }
+        None => drive_sampler(&mut sim, dynamic, engine, stop, &mut NullRecorder, control),
+    }
+}
+
+/// Drives a sampler in one call, or — when the control pauses or
+/// checkpoints — through [`SequentialSampler::run_interruptible`] (exact)
+/// or [`SequentialSampler::run_engine_interruptible`] (batched):
+/// interrupts, progress events and checkpoint captures all happen at
+/// activation or `advance`-call boundaries, where the replica snapshot is
+/// exact.  The starting configuration is recorded once either way.
+fn drive_sampler<D: SamplingDynamics + Clone, R: Recorder>(
+    sim: &mut SequentialSampler<D>,
+    dynamic: Dynamic,
+    engine: EngineChoice,
+    stop: StopCondition,
+    recorder: &mut R,
+    control: &mut RunControl<'_>,
+) -> Result<RunVerdict, String> {
+    if !control.pauses() && control.checkpoint.is_none() {
+        let result = match engine {
+            EngineChoice::Exact => sim.run_recorded(stop, recorder),
+            EngineChoice::Batched => sim.run_engine_recorded(stop, recorder),
+            other => unreachable!("validate rejects {other} for sampling dynamics"),
+        };
+        return Ok(RunVerdict::Finished(ScenarioOutcome::Single(result)));
+    }
+    recorder.record(sim.steps(), sim.configuration());
+    let n = sim.configuration().population();
+    let every = control.progress_cadence(n);
     let checkpoint_every = control
         .checkpoint
-        .map(|(_, cadence)| {
-            if cadence == 0 {
-                sim.configuration().population().max(1)
-            } else {
-                cadence
-            }
-        })
+        .map(|(_, cadence)| if cadence == 0 { n.max(1) } else { cadence })
         .unwrap_or(u64::MAX);
-    let tel = Telemetry::disabled();
-    let mut recorder = pp_core::NullRecorder;
     let mut next_progress = sim.steps().saturating_add(every);
     let mut next_checkpoint = sim.steps().saturating_add(checkpoint_every);
     loop {
@@ -541,56 +632,53 @@ fn run_sampling_dynamic<D: SamplingDynamics + Clone>(
             i >= pause_at
         };
         let result = match engine {
-            EngineChoice::Exact => sim.run_interruptible(stop, &mut recorder, &mut pause),
-            EngineChoice::Batched => sim.run_engine_interruptible(stop, &mut recorder, &mut pause),
+            EngineChoice::Exact => sim.run_interruptible(stop, recorder, &mut pause),
+            EngineChoice::Batched => sim.run_engine_interruptible(stop, recorder, &mut pause),
             other => unreachable!("validate rejects {other} for sampling dynamics"),
         };
-        match result {
-            Some(result) => return Ok(RunVerdict::Finished(ScenarioOutcome::Single(result))),
-            None => {
-                if let Some(kind) = pending {
-                    if kind == Interrupt::Halted {
-                        if let Some((path, _)) = control.checkpoint {
-                            capture_sampler(&sim, dynamic)
-                                .save(path)
-                                .map_err(|e| format!("cannot checkpoint: {e}"))?;
-                        }
-                    }
-                    return Ok(RunVerdict::Interrupted(kind));
-                }
-                if sim.steps() >= next_checkpoint {
-                    if let Some((path, _)) = control.checkpoint {
-                        capture_sampler(&sim, dynamic)
-                            .save(path)
-                            .map_err(|e| format!("cannot checkpoint: {e}"))?;
-                    }
-                    next_checkpoint = sim.steps().saturating_add(checkpoint_every);
-                }
-                if sim.steps() >= next_progress {
-                    emit(
-                        &mut control.progress,
-                        &tel,
-                        Some(sim.steps()),
-                        Some(sim.configuration()),
-                    );
-                    next_progress = sim.steps().saturating_add(every);
-                }
+        if let Some(result) = result {
+            return Ok(RunVerdict::Finished(ScenarioOutcome::Single(result)));
+        }
+        let save = |sim: &SequentialSampler<D>, path: &Path| {
+            capture_sampler(sim, dynamic, engine)
+                .save(path)
+                .map_err(|e| format!("cannot checkpoint: {e}"))
+        };
+        if let Some(kind) = pending {
+            if let (Interrupt::Halted, Some((path, _))) = (kind, control.checkpoint) {
+                save(sim, path)?;
             }
+            return Ok(RunVerdict::Interrupted(kind));
+        }
+        if sim.steps() >= next_checkpoint {
+            if let Some((path, _)) = control.checkpoint {
+                save(sim, path)?;
+            }
+            next_checkpoint = sim.steps().saturating_add(checkpoint_every);
+        }
+        if sim.steps() >= next_progress {
+            emit(
+                &mut control.progress,
+                &control.telemetry,
+                Some(sim.steps()),
+                Some(sim.configuration()),
+            );
+            next_progress = sim.steps().saturating_add(every);
         }
     }
 }
 
-/// Mirrors `usd_run`'s sampling-ensemble path (same diagnostics).
+/// A sampling-dynamic replica ensemble, run to completion in one call.
 fn run_sampling_ensemble<D: SamplingDynamics + Clone + Send>(
     dynamics: D,
-    config: Configuration,
+    config: &Configuration,
     seed: SimSeed,
-    choice: pp_core::ensemble::EnsembleChoice,
+    choice: EnsembleChoice,
     stop: StopCondition,
     tel: &Telemetry,
 ) -> Result<EnsembleRunResult, String> {
     let name = dynamics.name().to_string();
-    let mut ensemble = sampler_ensemble(&dynamics, &config, seed, choice).map_err(|e| {
+    let mut ensemble = sampler_ensemble(&dynamics, config, seed, choice).map_err(|e| {
         format!(
             "{e}: the {name} dynamic cannot run under the replica ensemble \
              (it provides no closed-form skip-ahead hooks)"
@@ -979,5 +1067,107 @@ mod tests {
                 .map(<[_]>::len),
             Some(3)
         );
+    }
+
+    /// Runs `scenario` until its first pause boundary, halts it there with
+    /// a checkpoint, and returns the capture.
+    fn halted_capture(scenario: &ScenarioConfig, file: &str) -> Checkpoint {
+        let dir = std::env::temp_dir().join(format!("pp_service_runner_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(file);
+        let control = RunControl {
+            interrupt: Some(&|| Some(Interrupt::Halted)),
+            checkpoint: Some((&path, u64::MAX)),
+            ..RunControl::default()
+        };
+        let verdict = run_scenario(scenario, control).unwrap();
+        assert_eq!(verdict, RunVerdict::Interrupted(Interrupt::Halted));
+        let checkpoint = Checkpoint::load(&path).unwrap();
+        let _ = std::fs::remove_file(path);
+        checkpoint
+    }
+
+    fn resume(scenario: &ScenarioConfig, checkpoint: &Checkpoint) -> Result<RunVerdict, String> {
+        let control = RunControl {
+            resume: Some(checkpoint),
+            ..RunControl::default()
+        };
+        run_scenario(scenario, control)
+    }
+
+    #[test]
+    fn mismatched_resumes_fail_naming_both_values() {
+        let usd = ScenarioConfig::new(2_000, 3)
+            .with_seed(5)
+            .with_engine(EngineChoice::Batched);
+        let voter = usd.with_dynamic(Dynamic::Voter);
+        for (scenario, file) in [
+            (usd, "usd"),
+            (usd.with_replicas(2), "ensemble"),
+            (voter, "voter"),
+        ] {
+            let checkpoint = halted_capture(&scenario, file);
+            let mut other = scenario;
+            other.population = 2_001;
+            let err = resume(&other, &checkpoint).unwrap_err();
+            assert!(
+                err.contains("n=2000, k=3") && err.contains("n=2001, k=3"),
+                "{file}: {err}"
+            );
+            if scenario.replicas > 1 {
+                continue;
+            }
+            let exact = scenario.with_engine(EngineChoice::Exact);
+            let err = resume(&exact, &checkpoint).unwrap_err();
+            assert!(
+                err.contains("holds batched engine state but --engine says exact"),
+                "{file}: {err}"
+            );
+            // Without an explicit engine the run resumes on the captured one.
+            let mut unset = scenario;
+            unset.engine = None;
+            let reference = run_scenario(&scenario, RunControl::default());
+            assert_eq!(resume(&unset, &checkpoint), reference, "{file}");
+        }
+    }
+
+    #[test]
+    fn the_recorder_sees_the_start_once_whether_or_not_the_run_pauses() {
+        for scenario in [small(), small().with_dynamic(Dynamic::ThreeMajority)] {
+            let record = |pausing: bool| {
+                let mut seen: Vec<(u64, Vec<u64>)> = Vec::new();
+                let mut recorder =
+                    |i: u64, c: &Configuration| seen.push((i, c.supports().to_vec()));
+                let mut on_progress = |_: ProgressEvent| {};
+                let control = RunControl {
+                    recorder: Some(&mut recorder),
+                    progress: pausing.then_some(&mut on_progress as &mut dyn FnMut(_)),
+                    progress_every: 50,
+                    ..RunControl::default()
+                };
+                let verdict = run_scenario(&scenario, control).unwrap();
+                (verdict, seen)
+            };
+            let (plain, plain_seen) = record(false);
+            let (paused, paused_seen) = record(true);
+            assert_eq!(plain, paused, "pausing moved the trajectory");
+            assert_eq!(
+                plain_seen, paused_seen,
+                "pausing changed the recorded stream"
+            );
+            assert_eq!(plain_seen.iter().filter(|(i, _)| *i == 0).count(), 1);
+        }
+    }
+
+    #[test]
+    fn an_attached_telemetry_handle_sees_the_run() {
+        let tel = Telemetry::enabled();
+        let control = RunControl {
+            telemetry: tel.clone(),
+            ..RunControl::default()
+        };
+        let reference = run_scenario(&small(), RunControl::default());
+        assert_eq!(run_scenario(&small(), control), reference);
+        assert!(tel.chrome_trace_json().contains("usd.run"));
     }
 }

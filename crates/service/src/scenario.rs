@@ -1,16 +1,16 @@
 //! Versioned, serializable descriptions of a complete simulation run.
 //!
-//! A [`ScenarioConfig`] captures everything `usd_run`'s command line can
-//! say — population and opinion count, initial bias and undecided seeding,
-//! the dynamic, the step-engine backend with its shard/ensemble/parallelism
-//! plan, the stop budget and the master seed — as one JSON document that a
-//! job server can queue, persist and replay.  The contract that makes the
-//! service trustworthy is *equivalence*: running a scenario through
-//! [`crate::runner::run_scenario`] (which both `pp_serve` workers and
-//! `usd_run --scenario` call) produces a result bit-identical to typing the
-//! corresponding flags into `usd_run` by hand, because the scenario maps
-//! 1:1 onto the same [`InitialConfig`] builder and the same seed-derivation
-//! and budget formulas.
+//! A [`ScenarioConfig`] is everything one run needs — population and
+//! opinion count, initial bias and undecided seeding, the dynamic, the
+//! step-engine backend with its shard/ensemble/parallelism plan, the stop
+//! budget and the master seed — as one value that a job server can queue,
+//! persist and replay as a JSON document.  It is the only description of a
+//! run: [`crate::runner::run_scenario`] executes it for every front-end.
+//! `pp_serve` workers receive it as JSON, `usd_run --scenario` reads it
+//! from a file, and `usd_run` builds it from its flags (the flag and field
+//! names map 1:1, which is why [`ScenarioConfig::validate`]'s diagnostics
+//! name flags).  Equal scenarios therefore give bit-identical results
+//! whichever way they were written down.
 //!
 //! ## Schema (version 1)
 //!
@@ -44,8 +44,8 @@
 //!   `undecided` mirrors [`UndecidedSpec`] (kinds `count`, `fraction`,
 //!   `max-admissible`).
 //! * `engine` is one of `exact`, `batched`, `sharded`, `mean-field`,
-//!   `hybrid`; when absent the run uses the CLI's defaulting rule (exact,
-//!   or batched when `replicas > 1`).
+//!   `hybrid`; when absent the run uses exact, or batched when
+//!   `replicas > 1`.
 //! * `fidelity` tunes the hybrid engine's fluctuation detector (the
 //!   `usd_run --fidelity-*` flags): `promote`/`demote` are the
 //!   drift-to-noise switch ratios, `mass-floor` the `√n`-scaled
@@ -56,16 +56,12 @@
 //! * `j` carries the j-majority sample count and is only written (and only
 //!   legal) when `dynamic` is `j-majority` — the same rule as `usd_run --j`.
 //! * `budget` overrides the derived interaction budget
-//!   `⌊400·k·n·ln n⌋ + 10⁷`; leave it unset for CLI equivalence.
+//!   `⌊400·k·n·ln n⌋ + 10⁷` (`usd_run` always uses the derived one).
 //! * Unknown fields are rejected by name, so schema drift fails loudly.
-//!
-//! Validation reuses the CLI's diagnostics verbatim (field ↔ flag names map
-//! 1:1), so a config rejected here is rejected with the same sentence
-//! `usd_run` would print.
 
 use pp_core::ensemble::EnsembleChoice;
 use pp_core::json::{Json, ObjBuilder};
-use pp_core::{EngineChoice, FidelityConfig, Parallelism};
+use pp_core::{Configuration, EngineChoice, FidelityConfig, Parallelism, ShardPlan, SimSeed};
 use pp_workloads::{BiasSpec, InitialConfig, UndecidedSpec};
 
 /// The scenario format version this build writes and reads.
@@ -113,11 +109,11 @@ impl Dynamic {
         }
     }
 
-    /// Parses a dynamic name (same diagnostics as the CLI).
+    /// Parses a dynamic name.
     ///
     /// # Errors
     ///
-    /// Returns the CLI's unknown-dynamic message.
+    /// Returns the unknown-dynamic message naming the accepted spellings.
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
             "usd" => Ok(Dynamic::Usd),
@@ -132,6 +128,20 @@ impl Dynamic {
             )),
         }
     }
+
+    /// Accepts an explicit j-majority sample count (`usd_run --j`, or the
+    /// scenario's `j` field) for the j-majority dynamic only.
+    ///
+    /// # Errors
+    ///
+    /// Names the rule for every other dynamic.
+    pub fn accept_j(self) -> Result<(), String> {
+        if self == Dynamic::JMajority {
+            Ok(())
+        } else {
+            Err("--j only applies to --dynamic j-majority".to_string())
+        }
+    }
 }
 
 impl std::fmt::Display for Dynamic {
@@ -144,7 +154,7 @@ impl std::fmt::Display for Dynamic {
 ///
 /// Build with [`ScenarioConfig::new`] plus the `with_*` setters, or parse a
 /// JSON document with [`ScenarioConfig::from_json`]; [`validate`] applies
-/// the CLI's cross-field rules, [`to_initial_config`] hands the workload
+/// the cross-field rules, [`to_initial_config`] hands the workload
 /// half to [`InitialConfig`].
 ///
 /// [`validate`]: ScenarioConfig::validate
@@ -166,7 +176,7 @@ pub struct ScenarioConfig {
     pub dynamic: Dynamic,
     /// The j-majority sample count (meaningful only for that dynamic).
     pub majority_samples: usize,
-    /// The step-engine backend; `None` applies the CLI defaulting rule
+    /// The step-engine backend; `None` applies the defaulting rule
     /// (exact, or batched when `replicas > 1`).
     pub engine: Option<EngineChoice>,
     /// Shard count for the sharded backend.
@@ -182,7 +192,7 @@ pub struct ScenarioConfig {
     /// Trajectory sample count (sets the recorder period; never affects
     /// the result).
     pub samples: u64,
-    /// Explicit interaction budget; `None` derives the CLI's
+    /// Explicit interaction budget; `None` derives
     /// `⌊400·k·n·ln n⌋ + 10⁷`.
     pub budget: Option<u64>,
 }
@@ -210,7 +220,7 @@ impl Default for ScenarioConfig {
 }
 
 impl ScenarioConfig {
-    /// A scenario over `n` agents and `k` opinions with the CLI's defaults
+    /// A scenario over `n` agents and `k` opinions with the flag defaults
     /// everywhere else.
     #[must_use]
     pub fn new(n: u64, k: usize) -> Self {
@@ -313,7 +323,7 @@ impl ScenarioConfig {
     }
 
     /// The backend the run actually uses: the explicit choice, or the
-    /// CLI's default (exact; batched when `replicas > 1`).
+    /// default (exact; batched when `replicas > 1`).
     #[must_use]
     pub fn effective_engine(&self) -> EngineChoice {
         self.engine.unwrap_or(if self.replicas > 1 {
@@ -323,7 +333,7 @@ impl ScenarioConfig {
         })
     }
 
-    /// The CLI's derived interaction budget: `⌊400·k·n·ln n⌋ + 10⁷`.
+    /// The derived interaction budget: `⌊400·k·n·ln n⌋ + 10⁷`.
     #[must_use]
     pub fn derived_budget(&self) -> u64 {
         let n_f = self.population as f64;
@@ -338,14 +348,14 @@ impl ScenarioConfig {
     }
 
     /// The fidelity thresholds the run resolves to: the explicit object, or
-    /// the controller defaults (the CLI's `--fidelity-*` defaulting rule).
+    /// the controller defaults (the `--fidelity-*` defaulting rule).
     #[must_use]
     pub fn effective_fidelity(&self) -> FidelityConfig {
         self.fidelity.unwrap_or_default()
     }
 
-    /// The trajectory recorder's sample period (the CLI's
-    /// `(budget / samples).max(1).min(n)` rule).
+    /// The trajectory recorder's sample period:
+    /// `(budget / samples).max(1).min(n)`.
     #[must_use]
     pub fn sample_period(&self) -> u64 {
         (self.interaction_budget() / self.samples)
@@ -353,13 +363,13 @@ impl ScenarioConfig {
             .min(self.population.max(1))
     }
 
-    /// Applies the CLI's cross-field rules, with its diagnostics verbatim
-    /// (scenario fields map 1:1 onto the flags the messages name).
+    /// Applies the cross-field rules.  Every front-end rejects through
+    /// here, so the messages name the `usd_run` flags (scenario fields map
+    /// 1:1 onto them).
     ///
     /// # Errors
     ///
-    /// Returns the same lowercase sentence `usd_run` prints for the
-    /// equivalent flag combination.
+    /// Returns a lowercase sentence naming the rule the scenario breaks.
     pub fn validate(&self) -> Result<(), String> {
         if self.samples == 0 {
             return Err("--samples must be positive".to_string());
@@ -428,10 +438,9 @@ impl ScenarioConfig {
         Ok(())
     }
 
-    /// The workload spec this scenario builds — the exact sequence of
-    /// [`InitialConfig`] builder calls `usd_run` makes for the equivalent
-    /// flags, so configurations (and therefore trajectories) match the CLI
-    /// bit-for-bit.
+    /// The workload spec this scenario builds: bias, undecided seeding,
+    /// engine, shards, fidelity, replicas and threads handed to the
+    /// [`InitialConfig`] builder.
     #[must_use]
     pub fn to_initial_config(&self) -> InitialConfig {
         let mut spec = InitialConfig::new(self.population, self.opinions)
@@ -451,6 +460,28 @@ impl ScenarioConfig {
             spec = spec.threads(threads);
         }
         spec
+    }
+
+    /// Builds the initial configuration from the master seed.
+    ///
+    /// # Errors
+    ///
+    /// Names the out-of-range workload parameter.
+    pub fn initial_configuration(&self) -> Result<Configuration, String> {
+        self.to_initial_config()
+            .build(SimSeed::from_u64(self.seed))
+            .map_err(|e| format!("invalid configuration: {e}"))
+    }
+
+    /// The shard plan for the sharded backend: the shard count and thread
+    /// cap from the workload spec, plus the epoch override.
+    #[must_use]
+    pub fn shard_plan(&self) -> ShardPlan {
+        let plan = self.to_initial_config().shard_plan();
+        match self.epoch {
+            Some(epoch) => plan.epoch_interactions(epoch),
+            None => plan,
+        }
     }
 
     /// Recovers a scenario from a workload spec (a USD run; sampling
@@ -612,8 +643,8 @@ impl ScenarioConfig {
                 }
             }
         }
-        if j_given && scenario.dynamic != Dynamic::JMajority {
-            return Err("--j only applies to --dynamic j-majority".to_string());
+        if j_given {
+            scenario.dynamic.accept_j()?;
         }
         Ok(scenario)
     }

@@ -31,7 +31,8 @@ use crate::job::{JobId, JobRecord, JobState};
 use crate::protocol;
 use crate::runner::{self, Interrupt, RunControl, RunVerdict};
 use crate::scenario::ScenarioConfig;
-use pp_core::{Checkpoint, Parallelism};
+use pp_core::checkpoint::write_atomic;
+use pp_core::{Checkpoint, Parallelism, Telemetry};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -426,13 +427,16 @@ impl ServerInner {
     /// in-memory operation rather than failing the job.
     fn persist_record(&self, record: &JobRecord) {
         if let Some(dir) = &self.cfg.state_dir {
-            let _ = std::fs::write(JobRecord::path_in(dir, record.id), record.to_json());
+            let _ = write_atomic(
+                &JobRecord::path_in(dir, record.id),
+                record.to_json().as_bytes(),
+            );
         }
     }
 
     fn persist_result(&self, id: JobId, result: &str) {
         if let Some(dir) = &self.cfg.state_dir {
-            let _ = std::fs::write(JobRecord::result_path_in(dir, id), result);
+            let _ = write_atomic(&JobRecord::result_path_in(dir, id), result.as_bytes());
             let _ = std::fs::remove_file(JobRecord::checkpoint_path_in(dir, id));
         }
     }
@@ -537,6 +541,9 @@ fn run_job(inner: &ServerInner, id: u64, record: &JobRecord, cancel: &AtomicBool
             .as_deref()
             .map(|path| (path, checkpoint_every)),
         resume: resume_checkpoint.as_ref(),
+        recorder: None,
+        // Progress events carry the engines' metrics snapshots.
+        telemetry: Telemetry::enabled(),
     };
     let verdict = runner::run_scenario(&scenario, control);
 
