@@ -11,9 +11,10 @@
 //! parallel-time unit, i.e. per `n` interactions), the expected count drift
 //! over `n` interactions is `n·|d_i|` agents while the fluctuation scale of
 //! a count of size `x_i` is `√x_i`; their quotient
-//! [`drift_noise_ratio`] is dimensionless, and [`min_drift_noise_ratio`]
-//! takes the minimum over the live categories — the fidelity bottleneck.
-//! Every function here is deterministic and allocation-free.
+//! [`drift_noise_ratio`] is dimensionless.  The detector takes its minimum
+//! over the live categories — the fidelity bottleneck — in the same
+//! allocation-free pass over the counts that evaluates the drifts and the
+//! mass guards (`usd_core::HybridEngine::signal`).
 
 /// The drift/fluctuation quotient of one category: `n·|d| / √max(x, 1)`,
 /// where `d` is the ODE derivative of the category's *fraction* per
@@ -23,44 +24,6 @@
 #[must_use]
 pub fn drift_noise_ratio(population: u64, mass: u64, drift: f64) -> f64 {
     (population as f64) * drift.abs() / (mass.max(1) as f64).sqrt()
-}
-
-/// The minimum [`drift_noise_ratio`] over the *live* categories (those with
-/// `mass > 0`) of paired `masses`/`drifts` slices.  Empty or fully extinct
-/// input yields `f64::INFINITY` (nothing left to fluctuate).
-///
-/// # Panics
-///
-/// Panics when the slices disagree in length.
-#[must_use]
-pub fn min_drift_noise_ratio(population: u64, masses: &[u64], drifts: &[f64]) -> f64 {
-    assert_eq!(masses.len(), drifts.len(), "each mass needs its drift term");
-    masses
-        .iter()
-        .zip(drifts)
-        .filter(|(&mass, _)| mass > 0)
-        .map(|(&mass, &drift)| drift_noise_ratio(population, mass, drift))
-        .fold(f64::INFINITY, f64::min)
-}
-
-/// The smallest live mass among `masses` (`u64::MAX` when all are zero) —
-/// the category most exposed to extinction by chance.
-#[must_use]
-pub fn min_live_mass(masses: &[u64]) -> u64 {
-    masses
-        .iter()
-        .copied()
-        .filter(|&mass| mass > 0)
-        .min()
-        .unwrap_or(u64::MAX)
-}
-
-/// The remaining distance to the absorbing consensus configuration:
-/// `n` minus the largest support (0 when a support already holds the whole
-/// population, `n` when every support is extinct).
-#[must_use]
-pub fn gap_to_absorption(population: u64, supports: &[u64]) -> u64 {
-    population.saturating_sub(supports.iter().copied().max().unwrap_or(0))
 }
 
 #[cfg(test)]
@@ -78,28 +41,5 @@ mod tests {
         );
         // Zero mass clamps the denominator to 1 instead of dividing by 0.
         assert!((drift_noise_ratio(100, 0, 0.5) - 50.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn minimum_skips_extinct_categories() {
-        let masses = [900, 0, 100];
-        let drifts = [0.5, 123.0, 0.001];
-        // Category 2: 1000·0.001/10 = 0.1 is the bottleneck; category 1 is
-        // extinct and ignored despite its huge drift term.
-        let min = min_drift_noise_ratio(1_000, &masses, &drifts);
-        assert!((min - 0.1).abs() < 1e-12);
-        assert_eq!(
-            min_drift_noise_ratio(1_000, &[0, 0], &[1.0, 1.0]),
-            f64::INFINITY
-        );
-    }
-
-    #[test]
-    fn mass_and_gap_helpers_handle_edges() {
-        assert_eq!(min_live_mass(&[5, 0, 3]), 3);
-        assert_eq!(min_live_mass(&[0, 0]), u64::MAX);
-        assert_eq!(gap_to_absorption(1_000, &[600, 300]), 400);
-        assert_eq!(gap_to_absorption(1_000, &[1_000, 0]), 0);
-        assert_eq!(gap_to_absorption(1_000, &[]), 1_000);
     }
 }

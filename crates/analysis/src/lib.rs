@@ -54,7 +54,7 @@ pub mod stats;
 pub mod streaming;
 
 pub use conformance::{check_conservation, Conformance, EventTally, Verdict};
-pub use fluctuation::{drift_noise_ratio, gap_to_absorption, min_drift_noise_ratio, min_live_mass};
+pub use fluctuation::drift_noise_ratio;
 pub use histogram::Histogram;
 pub use regression::{log_log_fit, LinearFit};
 pub use stats::{chi_squared_binned, chi_squared_two_sample, ChiSquaredTest, Summary};

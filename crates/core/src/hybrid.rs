@@ -10,9 +10,13 @@
 //! minimum-dwell policy, the rounding/conservation scheme and the
 //! determinism contract) watches cheap deterministic statistics of the live
 //! counts — the drift/√noise ratio of the most fluctuation-exposed
-//! category, the minimum live mass and the gap to absorption, computed with
-//! [`pp_analysis::fluctuation`] — and switches backends at `advance`
-//! boundaries, the same pause points where checkpoints are exact.
+//! category, the minimum live mass and the gap to absorption (see
+//! [`pp_analysis::fluctuation`]) — and switches backends at `advance`
+//! boundaries, the same pause points where checkpoints are exact.  The
+//! detector runs at every `advance`, so it is one allocation-free `O(k)`
+//! pass over the counts that evaluates the ODE drifts through
+//! [`crate::mean_field::vector_field`], bit for bit as the mean-field
+//! engine does.
 //!
 //! State transfer between the fidelities goes through the same snapshot
 //! vehicle checkpoints use: integer counts become `f64` fractions exactly on
@@ -38,9 +42,9 @@
 //! outcomes, and a pure stochastic backend when the fluctuation statistics
 //! themselves are the measurement (see `tests/hybrid_equivalence.rs`).
 
-use crate::mean_field::{MeanFieldEngine, MeanFieldState};
+use crate::mean_field::{vector_field, MeanFieldEngine};
 use crate::protocol::UndecidedStateDynamics;
-use pp_analysis::fluctuation::{gap_to_absorption, min_drift_noise_ratio, min_live_mass};
+use pp_analysis::fluctuation::drift_noise_ratio;
 use pp_core::checkpoint::{Checkpoint, EngineState};
 use pp_core::engine::{Advance, StepEngine, UNIFORM_PAIR_SCHEDULER_NAME};
 use pp_core::hybrid::{Fidelity, FidelityConfig, FidelityController, FidelitySignal};
@@ -168,22 +172,41 @@ impl HybridEngine {
     }
 
     /// The deterministic detector signal at the current counts (consumes no
-    /// randomness; see [`pp_core::hybrid`] for the derivation).
+    /// randomness; see [`pp_core::hybrid`] for the derivation).  One
+    /// allocation-free `O(k)` pass over the counts: `advance` evaluates it
+    /// before every step.
     #[must_use]
     pub fn signal(&self) -> FidelitySignal {
         let config = self.backend_configuration();
         let n = config.population();
-        let d = MeanFieldState::from_configuration(config).derivative();
+        let supports = config.supports();
+        // The fractions exactly as `MeanFieldState::from_configuration`
+        // forms them, so the drifts are the ODE's to the bit.
+        let total = n as f64;
+        let mut noise_ratio = f64::INFINITY;
+        let mut min_live_mass = u64::MAX;
+        let mut largest_support = 0;
         // Live categories are the supports plus the undecided pool: any of
         // them can fluctuate against its drift.
-        let mut masses = config.supports().to_vec();
-        masses.push(config.undecided());
-        let mut drifts = d.d_fractions;
-        drifts.push(d.d_undecided);
+        let mut live = |mass: u64, drift: f64| {
+            if mass > 0 {
+                noise_ratio = noise_ratio.min(drift_noise_ratio(n, mass, drift));
+                min_live_mass = min_live_mass.min(mass);
+            }
+        };
+        let d_undecided = vector_field(
+            supports.iter().map(|&x| x as f64 / total),
+            config.undecided() as f64 / total,
+            |i, drift| {
+                largest_support = largest_support.max(supports[i]);
+                live(supports[i], drift);
+            },
+        );
+        live(config.undecided(), d_undecided);
         FidelitySignal {
-            noise_ratio: min_drift_noise_ratio(n, &masses, &drifts),
-            min_live_mass: min_live_mass(&masses),
-            gap_to_absorption: gap_to_absorption(n, config.supports()),
+            noise_ratio,
+            min_live_mass,
+            gap_to_absorption: n.saturating_sub(largest_support),
             population: n,
         }
     }
@@ -407,7 +430,143 @@ impl StepEngine for HybridEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mean_field::MeanFieldState;
     use pp_core::StopCondition;
+
+    /// The detector signal as the allocating formulation computes it: the
+    /// ODE derivative as vectors, then minimum, live-mass and gap
+    /// statistics over `masses`/`drifts` slices.  Returns the signal and
+    /// the derivative's bits, `(d_fractions, d_undecided)`.
+    fn reference_signal(config: &Configuration) -> (FidelitySignal, Vec<u64>, u64) {
+        let n = config.population();
+        let total = n as f64;
+        let fractions: Vec<f64> = config
+            .supports()
+            .iter()
+            .map(|&x| x as f64 / total)
+            .collect();
+        let w = config.undecided() as f64 / total;
+        let d_fractions: Vec<f64> = fractions.iter().map(|&a| a * (2.0 * w + a - 1.0)).collect();
+        let d_undecided: f64 =
+            fractions.iter().map(|&a| a * (1.0 - w - a)).sum::<f64>() - w * (1.0 - w);
+        let mut masses = config.supports().to_vec();
+        masses.push(config.undecided());
+        let mut drifts = d_fractions.clone();
+        drifts.push(d_undecided);
+        let signal = FidelitySignal {
+            noise_ratio: masses
+                .iter()
+                .zip(&drifts)
+                .filter(|(&mass, _)| mass > 0)
+                .map(|(&mass, &drift)| drift_noise_ratio(n, mass, drift))
+                .fold(f64::INFINITY, f64::min),
+            min_live_mass: masses
+                .iter()
+                .copied()
+                .filter(|&mass| mass > 0)
+                .min()
+                .unwrap_or(u64::MAX),
+            gap_to_absorption: n
+                .saturating_sub(config.supports().iter().copied().max().unwrap_or(0)),
+            population: n,
+        };
+        let bits = d_fractions.iter().map(|d| d.to_bits()).collect();
+        (signal, bits, d_undecided.to_bits())
+    }
+
+    /// Supports/undecided grids for `k` opinions over about `n` agents:
+    /// even splits, extinct opinions, `u = 0` and `u = n`, one live
+    /// opinion, near-ties and scrambled uneven splits.
+    fn signal_grid(k: usize, n: u64) -> Vec<(Vec<u64>, u64)> {
+        let k64 = k as u64;
+        let even = |decided: u64| -> Vec<u64> {
+            (0..k64)
+                .map(|i| decided / k64 + u64::from(i < decided % k64))
+                .collect()
+        };
+        let mut grid = vec![
+            (even(n), 0),
+            (even(n - n / 3), n / 3),
+            (vec![0; k], n),
+            (
+                std::iter::once(n)
+                    .chain(std::iter::repeat(0))
+                    .take(k)
+                    .collect(),
+                0,
+            ),
+            (
+                std::iter::once(n / 2)
+                    .chain(std::iter::repeat(0))
+                    .take(k)
+                    .collect(),
+                n - n / 2,
+            ),
+        ];
+        // Near-ties: the even split with one agent moved from the last
+        // opinion to the first, and a top-two tie over extinct others.
+        let mut nudged = even(n);
+        if nudged[k - 1] > 0 {
+            nudged[k - 1] -= 1;
+            nudged[0] += 1;
+        }
+        grid.push((nudged, 0));
+        let mut top_two = vec![0; k];
+        top_two[0] = n / 2 + 1;
+        top_two[1] = n / 2;
+        grid.push((top_two, n / 7));
+        // Scrambled uneven splits with every other opinion extinct.
+        let mut state = n ^ 0x9E37_79B9_7F4A_7C15;
+        for round in 0..4 {
+            let supports = (0..k)
+                .map(|i| {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1);
+                    if (i + round) % 2 == 1 {
+                        0
+                    } else {
+                        (state >> 33) % (n / k64 + 1)
+                    }
+                })
+                .collect();
+            grid.push((supports, 1 + (state >> 40) % (n / 4 + 1)));
+        }
+        grid
+    }
+
+    #[test]
+    fn signal_is_bit_identical_to_the_allocating_formulation() {
+        for k in [2, 3, 8] {
+            for n in [8, 1_001, 250_000, 10_000_000_000] {
+                for (supports, undecided) in signal_grid(k, n) {
+                    let config = Configuration::from_counts(supports, undecided).unwrap();
+                    let (expected, d_fractions, d_undecided) = reference_signal(&config);
+                    let engine = HybridEngine::new(
+                        config.clone(),
+                        SimSeed::from_u64(1),
+                        FidelityConfig::default(),
+                    );
+                    let signal = engine.signal();
+                    assert_eq!(
+                        signal.noise_ratio.to_bits(),
+                        expected.noise_ratio.to_bits(),
+                        "noise ratio at {config}"
+                    );
+                    assert_eq!(signal.min_live_mass, expected.min_live_mass, "at {config}");
+                    assert_eq!(
+                        signal.gap_to_absorption, expected.gap_to_absorption,
+                        "at {config}"
+                    );
+                    assert_eq!(signal.population, expected.population);
+                    let d = MeanFieldState::from_configuration(&config).derivative();
+                    let bits: Vec<u64> = d.d_fractions.iter().map(|d| d.to_bits()).collect();
+                    assert_eq!(bits, d_fractions, "opinion drifts at {config}");
+                    assert_eq!(d.d_undecided.to_bits(), d_undecided, "at {config}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn biased_run_switches_and_converges_on_the_plurality() {

@@ -97,18 +97,10 @@ impl MeanFieldState {
     /// The time derivative of the state (the vector field above).
     #[must_use]
     pub fn derivative(&self) -> MeanFieldDerivative {
-        let w = self.undecided;
-        let d_fractions: Vec<f64> = self
-            .fractions
-            .iter()
-            .map(|&a| a * (2.0 * w + a - 1.0))
-            .collect();
-        let d_undecided: f64 = self
-            .fractions
-            .iter()
-            .map(|&a| a * (1.0 - w - a))
-            .sum::<f64>()
-            - w * (1.0 - w);
+        let mut d_fractions = Vec::with_capacity(self.fractions.len());
+        let d_undecided = vector_field(self.fractions.iter().copied(), self.undecided, |_, d| {
+            d_fractions.push(d);
+        });
         MeanFieldDerivative {
             d_fractions,
             d_undecided,
@@ -171,6 +163,29 @@ pub struct MeanFieldDerivative {
     pub d_fractions: Vec<f64>,
     /// Time derivative of the undecided fraction.
     pub d_undecided: f64,
+}
+
+/// The vector field above at opinion fractions `a_i` and undecided fraction
+/// `w`, in one allocation-free `O(k)` pass: calls `opinion(i, ȧ_i)` with
+/// `ȧ_i = a_i·(2w + a_i − 1)` for each opinion in order, and returns
+/// `ẇ = Σ_i a_i(1 − w − a_i) − w(1 − w)`.  The one home of both formulas:
+/// [`MeanFieldState::derivative`] and the hybrid engine's fidelity detector
+/// evaluate the field through it, so their values agree bit for bit.
+#[must_use]
+pub fn vector_field(
+    fractions: impl IntoIterator<Item = f64>,
+    w: f64,
+    mut opinion: impl FnMut(usize, f64),
+) -> f64 {
+    fractions
+        .into_iter()
+        .enumerate()
+        .map(|(i, a)| {
+            opinion(i, a * (2.0 * w + a - 1.0));
+            a * (1.0 - w - a)
+        })
+        .sum::<f64>()
+        - w * (1.0 - w)
 }
 
 /// The unstable equilibrium of the undecided fraction in the symmetric

@@ -45,9 +45,15 @@
 //!   `S_cat` shifts by `[matrix[cat][to]] − [matrix[cat][from]]`, and the
 //!   table is re-derived as `c_cat · S_cat` — `O(k)` exact integer adds per
 //!   event, no protocol calls.
-//! * All weights are exact `u128` integers, so the patched table is
+//! * All weights are exact integers, so the patched table is
 //!   **bit-identical** to a full rebuild: trajectories do not depend on
-//!   whether maintenance was on.
+//!   whether maintenance was on.  `S_cat` is a `u64` (it counts agents, so
+//!   `S_cat ≤ n`), while rows and their total are `u128` (each is at most
+//!   `n²`): a patch costs one 64×64→128-bit widening multiply per row.
+//! * The event draw reads `S_r` of the drawn responder category from the
+//!   table instead of dividing `row_r` by `c_r`, and reduces its target
+//!   modulo `S_r` in 64 bits; only populations beyond 2³² agents, whose
+//!   weights outgrow `u64`, take the 128-bit bounded draw and remainder.
 //!
 //! The engine falls back to a full rebuild when the protocol opts out of the
 //! matrix, when maintenance is disabled via
@@ -87,6 +93,7 @@ use crate::checkpoint::{
 };
 use crate::config::Configuration;
 use crate::count_sim::CountSimulator;
+use crate::ensemble::RowTable;
 use crate::error::PpError;
 use crate::opinion::AgentState;
 use crate::protocol::OpinionProtocol;
@@ -453,9 +460,9 @@ pub struct BatchedEngine<P> {
     /// Productive weight per responder category (`row_cat = c_cat · S_cat`),
     /// maintained across events while `rows_valid`.
     rows: Vec<u128>,
-    /// The per-category productive initiator sums `S_cat` behind `rows`;
-    /// meaningful only while `rows_valid` and `matrix` is present.
-    sums: Vec<u128>,
+    /// The per-category productive initiator sums `S_cat` behind `rows`
+    /// (`S_cat ≤ n`, so `u64`); meaningful only while `rows_valid`.
+    sums: Vec<u64>,
     /// Cached `Σ rows`, meaningful only while `rows_valid`.
     total: u128,
     /// Whether `rows`/`sums`/`total` describe the current counts.
@@ -577,22 +584,37 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
         crate::shard::reconcile::productive_row(&self.protocol, &self.config, &self.config, cat)
     }
 
-    /// Fills `rows` with the per-category productive weights for the current
-    /// counts and returns their sum.  A pure function of the configuration —
-    /// the standalone `advance` fills its scratch buffer with it, and the
-    /// ensemble layer fills cache-shared [`crate::ensemble::RowTable`]s, so
-    /// both paths see bit-identical weights.
-    pub(crate) fn fill_rows(&self, rows: &mut Vec<u128>) -> u128 {
+    /// Fills `rows` with the per-category productive weights and `sums`
+    /// with the productive initiator sums `S_cat` for the current counts,
+    /// and returns the row total.  A pure function of the configuration —
+    /// the standalone engine fills its maintained table with it, and the
+    /// ensemble layer fills cache-shared [`RowTable`]s, so both paths see
+    /// bit-identical weights.
+    fn fill_table(&self, rows: &mut Vec<u128>, sums: &mut Vec<u64>) -> u128 {
         let k = self.config.num_opinions();
         rows.clear();
-        rows.resize(k + 1, 0);
+        sums.clear();
         let mut total: u128 = 0;
-        for (cat, row_slot) in rows.iter_mut().enumerate() {
+        for cat in 0..=k {
             let row = self
                 .protocol
                 .productive_responder_weight(&self.config, cat)
                 .unwrap_or_else(|| self.enumerated_row(cat));
-            *row_slot = row;
+            let sum = match &self.matrix {
+                Some(matrix) => (0..=k)
+                    .filter(|&i| matrix[cat * (k + 1) + i])
+                    .map(|i| self.config.category_count(i))
+                    .sum(),
+                // Without the matrix, `row = c_cat · S_cat` is the only
+                // source of `S_cat`; an empty category's row is 0 and is
+                // never drawn.
+                None => match u128::from(self.config.category_count(cat)) {
+                    0 => 0,
+                    c => u64::try_from(row / c).expect("S_cat counts agents, so it fits u64"),
+                },
+            };
+            rows.push(row);
+            sums.push(sum);
             total += row;
         }
         #[cfg(feature = "exhaustive-checks")]
@@ -641,20 +663,10 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
     /// Rebuilds `rows`, `sums` and `total` from the full counts.
     fn rebuild_rows(&mut self) -> u128 {
         let mut rows = std::mem::take(&mut self.rows);
-        let total = self.fill_rows(&mut rows);
+        let mut sums = std::mem::take(&mut self.sums);
+        let total = self.fill_table(&mut rows, &mut sums);
         self.rows = rows;
-        if let Some(matrix) = &self.matrix {
-            let k = self.config.num_opinions();
-            for (cat, sum_slot) in self.sums.iter_mut().enumerate() {
-                let mut s = 0u128;
-                for i in 0..=k {
-                    if matrix[cat * (k + 1) + i] {
-                        s += u128::from(self.config.category_count(i));
-                    }
-                }
-                *sum_slot = s;
-            }
-        }
+        self.sums = sums;
         self.total = total;
         self.rows_valid = true;
         self.refreshes += 1;
@@ -705,7 +717,7 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
                 s -= 1;
             }
             self.sums[cat] = s;
-            let row = u128::from(self.config.category_count(cat)) * s;
+            let row = u128::from(self.config.category_count(cat)) * u128::from(s);
             self.rows[cat] = row;
             total += row;
         }
@@ -721,39 +733,17 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
         }
     }
 
-    /// A freshly allocated row table for the current counts, as
-    /// `(rows, total)` (the ensemble layer caches these per counts key).
-    pub(crate) fn enumerate_rows(&self) -> (Vec<u128>, u128) {
-        let mut rows = Vec::new();
-        let total = self.fill_rows(&mut rows);
-        (rows, total)
+    /// A freshly allocated row table for the current counts (the ensemble
+    /// layer caches these per counts key).
+    pub(crate) fn row_table(&self) -> RowTable {
+        let (mut rows, mut sums) = (Vec::new(), Vec::new());
+        let total = self.fill_table(&mut rows, &mut sums);
+        RowTable { rows, total, sums }
     }
 
     /// The protocol's productivity table, when it opted into the delta rule.
     pub(crate) fn productivity_matrix_ref(&self) -> Option<&[bool]> {
         self.matrix.as_deref()
-    }
-
-    /// Freshly computed per-category productive initiator sums `S_cat` for
-    /// the current counts (empty when the protocol opted out of the delta
-    /// rule) — the payload that lets the ensemble layer derive a neighbor's
-    /// row table by replaying a count delta.
-    pub(crate) fn initiator_sums(&self) -> Vec<u128> {
-        let Some(matrix) = &self.matrix else {
-            return Vec::new();
-        };
-        let k = self.config.num_opinions();
-        (0..=k)
-            .map(|cat| {
-                let mut s = 0u128;
-                for i in 0..=k {
-                    if matrix[cat * (k + 1) + i] {
-                        s += u128::from(self.config.category_count(i));
-                    }
-                }
-                s
-            })
-            .collect()
     }
 
     /// The engine's RNG (the ensemble layer draws skips from it so lockstep
@@ -782,7 +772,8 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
     /// within the category, initiator unit); the row scan finds the
     /// category, and because `row = c_r · S_r` factors into independent
     /// responder-identity and initiator-weight parts, the remainder modulo
-    /// `S_r` is an exact uniform draw of the initiator unit.
+    /// `S_r` (read from `sums`) is an exact uniform draw of the initiator
+    /// unit.
     ///
     /// Returns the applied `(from, to)` responder move and invalidates the
     /// maintained row table (callers on the incremental path re-validate it
@@ -790,6 +781,7 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
     pub(crate) fn draw_and_apply_event(
         &mut self,
         rows: &[u128],
+        sums: &[u64],
         total: u128,
     ) -> (AgentState, AgentState) {
         let k = self.config.num_opinions();
@@ -803,18 +795,13 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
             target -= row;
         }
         let responder = AgentState::from_category(responder_cat, k);
-        let c_responder = u128::from(self.config.category_count(responder_cat));
-        debug_assert!(c_responder > 0);
-        // 64-bit fast paths: the weights fit u64 for any population ≤ ~4·10⁹,
-        // avoiding the 128-bit division intrinsics on the hot path.
-        let row = rows[responder_cat];
-        let initiator_total = match (u64::try_from(row), u64::try_from(c_responder)) {
-            (Ok(r), Ok(c)) => u128::from(r / c),
-            _ => row / c_responder,
-        };
-        let mut itarget = match (u64::try_from(target), u64::try_from(initiator_total)) {
-            (Ok(t), Ok(s)) => u128::from(t % s),
-            _ => target % initiator_total,
+        debug_assert!(self.config.category_count(responder_cat) > 0);
+        let initiator_total = sums[responder_cat];
+        // The 64-bit remainder serves every population up to ~4·10⁹, whose
+        // weights fit u64; the remainder is below `S_r`, so it fits u64.
+        let mut itarget = match u64::try_from(target) {
+            Ok(t) => t % initiator_total,
+            Err(_) => (target % u128::from(initiator_total)) as u64,
         };
 
         // Resolve the initiator unit to a category, restricted to categories
@@ -829,11 +816,11 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
             if self.protocol.respond(responder, candidate) == responder {
                 continue;
             }
-            if itarget < u128::from(c_i) {
+            if itarget < c_i {
                 initiator = candidate;
                 break;
             }
-            itarget -= u128::from(c_i);
+            itarget -= c_i;
         }
 
         let new_responder = self.protocol.respond(responder, initiator);
@@ -970,8 +957,10 @@ impl<P: OpinionProtocol> StepEngine for BatchedEngine<P> {
         };
         self.record_event_interactions(skip);
         let rows = std::mem::take(&mut self.rows);
-        let (from, to) = self.draw_and_apply_event(&rows, total);
+        let sums = std::mem::take(&mut self.sums);
+        let (from, to) = self.draw_and_apply_event(&rows, &sums, total);
         self.rows = rows;
+        self.sums = sums;
         self.apply_row_delta(from, to);
         Advance::Event
     }

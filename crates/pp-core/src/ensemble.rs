@@ -198,16 +198,14 @@ impl<P: OpinionProtocol> EnsembleReplica for BatchedEngine<P> {
     type Shared = RowTable;
 
     fn compute_shared(&self) -> Result<RowTable, PpError> {
-        let sums = self.initiator_sums();
-        let (rows, total) = self.enumerate_rows();
-        Ok(RowTable { rows, total, sums })
+        Ok(self.row_table())
     }
 
     fn derive_shared(&self, prev: &RowTable, prev_key: &[u64]) -> Option<RowTable> {
         let matrix = self.productivity_matrix_ref()?;
         let config = StepEngine::configuration(self);
         let k = config.num_opinions();
-        if prev.sums.len() != k + 1 || prev_key.len() != k + 1 {
+        if prev_key.len() != k + 1 {
             return None;
         }
         // Replay the count delta onto the productive initiator sums, then
@@ -223,9 +221,9 @@ impl<P: OpinionProtocol> EnsembleReplica for BatchedEngine<P> {
             for (cat, sum) in sums.iter_mut().enumerate() {
                 if matrix[cat * (k + 1) + i] {
                     if new >= old {
-                        *sum += u128::from(new - old);
+                        *sum += new - old;
                     } else {
-                        *sum -= u128::from(old - new);
+                        *sum -= old - new;
                     }
                 }
             }
@@ -233,7 +231,7 @@ impl<P: OpinionProtocol> EnsembleReplica for BatchedEngine<P> {
         let mut rows = vec![0u128; k + 1];
         let mut total = 0u128;
         for (cat, row_slot) in rows.iter_mut().enumerate() {
-            let row = u128::from(config.category_count(cat)) * sums[cat];
+            let row = u128::from(config.category_count(cat)) * u128::from(sums[cat]);
             *row_slot = row;
             total += row;
         }
@@ -263,7 +261,7 @@ impl<P: OpinionProtocol> EnsembleReplica for BatchedEngine<P> {
 
     fn apply_event(&mut self, shared: &RowTable, skip: u64) {
         self.record_event_interactions(skip);
-        self.draw_and_apply_event(&shared.rows, shared.total);
+        self.draw_and_apply_event(&shared.rows, &shared.sums, shared.total);
     }
 
     fn forward_to_limit(&mut self, limit: u64) {
@@ -282,10 +280,11 @@ pub struct RowTable {
     pub rows: Vec<u128>,
     /// Sum of the rows.
     pub total: u128,
-    /// Per-category productive initiator sums (`row_cat = c_cat · S_cat`);
-    /// empty when the protocol opted out of the delta rule, in which case
-    /// neighbor-delta derivation is disabled and misses compute fresh.
-    pub sums: Vec<u128>,
+    /// Per-category productive initiator sums (`row_cat = c_cat · S_cat`,
+    /// `S_cat ≤ n`), which the event draw reads.  When the protocol opted
+    /// out of the delta rule they are derived as `row_cat / c_cat`, and
+    /// neighbor-delta derivation is disabled: misses compute fresh.
+    pub sums: Vec<u64>,
 }
 
 /// An `EngineChoice`-adjacent selector for ensemble runs: how many lockstep

@@ -250,3 +250,69 @@ fn telemetry_counters_record_non_trivial_switching() {
         "the run should split interactions across both fidelities, saw {fraction}"
     );
 }
+
+/// The threshold regime of the bias theorem — k = 2, additive bias
+/// 0.15·√(n ln n), where the plurality wins with probability strictly
+/// inside (0, 1) — run through `run_scenario` at hybrid fidelity.  Each
+/// case switches fidelity four times (promote, demote, promote, endgame
+/// demote), so its bytes pin the detector signal at every pause boundary
+/// as well as the stochastic stretches between them.  The n = 8000 case is
+/// won by the minority opinion.
+#[test]
+fn switching_threshold_runs_keep_their_golden_bytes() {
+    use k_opinion_usd::service::runner::{
+        result_json, run_scenario, RunControl, RunVerdict, ScenarioOutcome,
+    };
+    use k_opinion_usd::service::scenario::ScenarioConfig;
+    use pp_workloads::BiasSpec;
+
+    struct Golden {
+        n: u64,
+        json: &'static str,
+        switches: u64,
+        events: u64,
+        mean_field_fraction: f64,
+    }
+    let goldens = [
+        Golden {
+            n: 8_000,
+            json: r#"{"result":1,"mode":"single","run":{"outcome":"consensus","interactions":228099,"parallel_time":28.512375,"winner":1,"scheduler":"uniform ordered pairs (self-interactions allowed)","rejection_misses":null,"final":{"supports":[0,8000],"undecided":0}}}"#,
+            switches: 4,
+            events: 56_384,
+            mean_field_fraction: 0.261_290_053_880_113_45,
+        },
+        Golden {
+            n: 100_000,
+            json: r#"{"result":1,"mode":"single","run":{"outcome":"consensus","interactions":3096962,"parallel_time":30.96962,"winner":0,"scheduler":"uniform ordered pairs (self-interactions allowed)","rejection_misses":null,"final":{"supports":[100000,0],"undecided":0}}}"#,
+            switches: 4,
+            events: 499_046,
+            mean_field_fraction: 0.393_611_545_766_464,
+        },
+    ];
+    for golden in goldens {
+        let scenario = ScenarioConfig::new(golden.n, 2)
+            .with_bias(BiasSpec::AdditiveInSqrtNLogN(0.15))
+            .with_engine(EngineChoice::Hybrid)
+            .with_seed(1);
+        let control = RunControl {
+            telemetry: Telemetry::enabled(),
+            ..RunControl::default()
+        };
+        let RunVerdict::Finished(outcome) = run_scenario(&scenario, control).unwrap() else {
+            panic!("a run without an interrupt hook finishes");
+        };
+        assert_eq!(result_json(&outcome), golden.json, "n = {}", golden.n);
+        let ScenarioOutcome::Single(result) = &outcome else {
+            panic!("one replica is a single run");
+        };
+        let snap = result.telemetry().expect("telemetry was enabled");
+        assert_eq!(snap.counter("hybrid.switches"), Some(golden.switches));
+        assert_eq!(snap.counter("batched.events_drawn"), Some(golden.events));
+        assert_eq!(
+            snap.gauge("hybrid.mean_field_fraction").map(f64::to_bits),
+            Some(golden.mean_field_fraction.to_bits()),
+            "n = {}",
+            golden.n
+        );
+    }
+}

@@ -207,6 +207,68 @@ proptest! {
     }
 }
 
+/// Row patching at n = 10¹⁰, beyond 2³² agents: the undecided row and the
+/// row total outgrow `u64` while every initiator sum `S_cat ≤ n` still
+/// fits, so the event draw takes the 128-bit bounded draw and, whenever the
+/// target lands past 2⁶⁴ in the undecided row, the 128-bit remainder — which
+/// picks the opinion the responder adopts.  Patched and rebuilt twins must
+/// walk the same trajectory.
+#[test]
+fn usd_rows_beyond_two_to_the_32_agents_match_rebuilds() {
+    // (start, pinned configuration and interaction count after 400 events).
+    // The twins share the draw, so an arithmetic slip in it would move both
+    // alike; the pins catch that.
+    let cases = [
+        (
+            (vec![3_500_000_000u64, 2_500_000_000], 4_000_000_000u64),
+            (
+                vec![3_500_000_051u64, 2_500_000_023],
+                3_999_999_926u64,
+                909u64,
+            ),
+        ),
+        (
+            (
+                vec![3_000_000_000, 2_000_000_000, 1_000_000_000],
+                4_000_000_000,
+            ),
+            (
+                vec![3_000_000_054, 1_999_999_998, 999_999_996],
+                3_999_999_952,
+                886,
+            ),
+        ),
+    ];
+    for ((counts, undecided), (supports, final_undecided, interactions)) in cases {
+        let config = Configuration::from_counts(counts, undecided).unwrap();
+        assert_eq!(config.population(), 10_000_000_000);
+        // The USD undecided row is u · (n − u): past u64.
+        let u = config.undecided();
+        assert!(u128::from(u) * u128::from(config.population() - u) > u128::from(u64::MAX));
+        let k = config.num_opinions();
+        let seed = SimSeed::from_u64(0x1E10 + k as u64);
+        let mut patched = BatchedEngine::new(UndecidedStateDynamics::new(k), config.clone(), seed);
+        let mut rebuilt = BatchedEngine::new(UndecidedStateDynamics::new(k), config, seed);
+        rebuilt.set_incremental_rows(false);
+        for event in 0..400 {
+            assert_eq!(patched.advance(u64::MAX), Advance::Event, "k = {k}");
+            assert_eq!(rebuilt.advance(u64::MAX), Advance::Event, "k = {k}");
+            assert_eq!(
+                StepEngine::configuration(&patched),
+                StepEngine::configuration(&rebuilt),
+                "k = {k}: configurations diverged at event {event}"
+            );
+            assert_eq!(patched.interactions(), rebuilt.interactions(), "k = {k}");
+        }
+        let stats = patched.maintenance().expect("batched engines count");
+        assert_eq!((stats.rows_rebuilt, stats.rows_patched), (1, 400));
+        let end = StepEngine::configuration(&patched);
+        assert_eq!(end.supports(), &supports[..], "k = {k}");
+        assert_eq!(end.undecided(), final_undecided, "k = {k}");
+        assert_eq!(patched.interactions(), interactions, "k = {k}");
+    }
+}
+
 /// The deterministic smoke version of the law-twin property, so a plain
 /// `cargo test` failure names the dynamic without a proptest shrink.
 #[test]
