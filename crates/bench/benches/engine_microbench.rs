@@ -259,17 +259,18 @@ fn sampling_dynamics_skip_ahead(c: &mut Criterion) {
 }
 
 /// The ensemble-layer acceptance benchmark: R = 32 same-seed replicas at
-/// n = 10⁶ run through the lockstep `EnsembleEngine` single-threaded
-/// (`ensemble`), through the worker-parallel pool at the machine's
-/// available parallelism (`ensemble-mt`), and as a plain loop of
-/// standalone batched runs (`replica-loop`).  The replicas are
-/// bit-identical across all three modes, so the wall-clock ratios are the
-/// aggregate interactions/sec speedups of the lockstep sharing and of the
-/// worker pool stacked on it (on a single-core box `ensemble-mt` resolves
-/// to one worker and measures pure scheduling overhead).  3-Majority is
-/// the headline row (its `O(k²j³)` adoption law is skipped on every cached
-/// activation-law hit, and the two-opinion count space keeps the reuse
-/// fraction high); the USD row bounds the win for an `O(k)`-table dynamic.
+/// n = 10⁶ run through the `EnsembleEngine` single-threaded (`ensemble`),
+/// through the worker-parallel pool at the machine's available parallelism
+/// (`ensemble-mt`), and as a plain loop of standalone runs
+/// (`replica-loop`).  The replicas are bit-identical across all three
+/// modes, so the wall-clock ratios are the aggregate interactions/sec
+/// speedups of the table sharing and of the worker pool stacked on it (on a
+/// single-core box `ensemble-mt` resolves to one worker and measures pure
+/// scheduling overhead).  3-Majority is the headline row (its `O(k²j³)`
+/// adoption law is skipped on every cached activation-law hit, and the
+/// two-opinion count space keeps the reuse fraction high); batched USD
+/// replicas share nothing, so the USD `ensemble` row measures window
+/// scheduling against the loop and `ensemble-mt` the worker pool alone.
 fn ensemble_lockstep_comparison(c: &mut Criterion) {
     let n = 1_000_000u64;
     let replicas = 32usize;

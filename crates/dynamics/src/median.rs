@@ -110,7 +110,8 @@ impl MedianRule {
     }
 
     /// Total weight of productive activation triples (module docs) out of
-    /// `n³`.
+    /// `n³`.  The from-scratch reference of the patch cross-check.
+    #[cfg(any(test, debug_assertions, feature = "exhaustive-checks"))]
     fn productive_weight(config: &Configuration) -> u128 {
         let (below, above) = Self::prefix_suffix(config);
         Self::weight_from(config, &below, &above)

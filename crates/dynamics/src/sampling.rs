@@ -12,8 +12,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 /// The per-counts law of one activation, shared between lockstep ensemble
-/// replicas whose counts coincide (the sampling-dynamics counterpart of
-/// `pp_core::ensemble::RowTable`).
+/// replicas whose counts coincide (see `pp_core::ensemble`).
 ///
 /// `p_null` always carries the exact null-activation probability; `weights`
 /// is a dynamic-interpreted table backing
@@ -544,11 +543,12 @@ impl<D: SamplingDynamics> StepEngine for SequentialSampler<D> {
     }
 
     /// Activation-law maintenance attributed to this sampler's own
-    /// `advance`/`apply_event` calls.  Under the lockstep ensemble the
+    /// `advance`/`advance_shared` calls.  In a mapped ensemble window the
     /// shared `compute_shared` law evaluations happen *outside* any
-    /// per-replica call and are not attributed here (only dormant-window
-    /// work lands in replica counters), which is why run-result equality
-    /// deliberately ignores these counters.
+    /// per-replica call and are not attributed here (only each event's draw
+    /// from the shared law is); in a dormant window every evaluation runs
+    /// inside the replica's own `advance` and lands in its counters.  That
+    /// is why run-result equality deliberately ignores these counters.
     fn maintenance(&self) -> Option<MaintenanceStats> {
         Some(self.law_stats)
     }
@@ -612,28 +612,32 @@ impl<D: SamplingDynamics> SequentialSampler<D> {
 impl<D: SamplingDynamics> EnsembleReplica for SequentialSampler<D> {
     type Shared = ActivationLaw;
 
-    fn compute_shared(&self) -> Result<ActivationLaw, PpError> {
-        self.dynamics
-            .activation_law(&self.config)
-            .ok_or(PpError::UnsupportedEngine {
-                requested: "ensemble",
-            })
+    fn compute_shared(&self) -> Option<Result<ActivationLaw, PpError>> {
+        Some(
+            self.dynamics
+                .activation_law(&self.config)
+                .ok_or(PpError::UnsupportedEngine {
+                    requested: "ensemble",
+                }),
+        )
     }
 
-    fn event_probability(&self, shared: &ActivationLaw) -> f64 {
+    fn advance_shared(&mut self, shared: &ActivationLaw, limit: u64) -> Advance {
         debug_assert!(
             (0.0..=1.0).contains(&shared.p_null),
             "null probability {} out of range",
             shared.p_null
         );
-        1.0 - shared.p_null
-    }
-
-    fn draw_skip(&mut self, p: f64, headroom: u64) -> Option<u64> {
-        pp_core::engine::geometric_skip(&mut self.rng, p, headroom)
-    }
-
-    fn apply_event(&mut self, shared: &ActivationLaw, skip: u64) {
+        let p = 1.0 - shared.p_null;
+        if p <= 0.0 {
+            self.steps = limit;
+            return Advance::Absorbed;
+        }
+        let headroom = limit - self.steps;
+        let Some(skip) = pp_core::engine::geometric_skip(&mut self.rng, p, headroom) else {
+            self.steps = limit;
+            return Advance::LimitReached;
+        };
         self.attributing_law_events(|sim| {
             sim.steps += skip + 1;
             let (from, to) = match sim
@@ -649,10 +653,7 @@ impl<D: SamplingDynamics> EnsembleReplica for SequentialSampler<D> {
             debug_assert_ne!(from, to, "sampled event must change the agent's state");
             sim.apply_transition(from, to);
         });
-    }
-
-    fn forward_to_limit(&mut self, limit: u64) {
-        self.steps = limit;
+        Advance::Event
     }
 }
 

@@ -475,26 +475,24 @@ fn emit_telemetry(tel: &Telemetry, sinks: &Sinks, snap: &MetricsSnapshot) -> Res
 }
 
 /// Prints the streaming ensemble summary (satisfies `--replicas`): hitting
-/// time statistics, goal proportion, shared-table reuse and aggregate
-/// throughput.  Everything goes to stderr, matching the single-run summary,
-/// so stdout carries machine output (`--metrics`) only.
+/// time statistics, goal proportion, shared-table reuse (when the replicas
+/// looked tables up) and aggregate throughput.  Everything goes to stderr,
+/// matching the single-run summary, so stdout carries machine output
+/// (`--metrics`) only.
 fn print_ensemble_summary(outcome: &EnsembleRunResult, elapsed: f64) {
     let summary = summarize_ensemble(outcome);
     let (goal, lo, hi) = summary.goal_proportion();
     eprintln!(
-        "ensemble: {} replicas over {} worker threads, {} lockstep rounds, \
-         shared-table reuse {:.1}% ({} hits / {} misses)",
+        "ensemble: {} replicas over {} worker threads, {} scheduling rounds",
         summary.replicas,
         outcome.workers(),
         outcome.rounds(),
-        100.0 * outcome.shared_reuse_fraction(),
-        outcome.shared_hits(),
-        outcome.shared_misses(),
     );
-    if outcome.shared_derived() > 0 {
+    if outcome.shared_hits() + outcome.shared_misses() > 0 {
         eprintln!(
-            "shared-table derivation: {} of {} misses served by neighbour-delta replay",
-            outcome.shared_derived(),
+            "shared-table reuse {:.1}% ({} hits / {} misses)",
+            100.0 * outcome.shared_reuse_fraction(),
+            outcome.shared_hits(),
             outcome.shared_misses(),
         );
     }

@@ -52,11 +52,11 @@
 //! * the sharded engine's merged configuration, pair weights, and per-epoch
 //!   quota/scratch buffers (dead between `advance` calls — captures land on
 //!   epoch boundaries),
-//! * the ensemble's shared-table cache, per-replica neighbor tables, and
-//!   adaptive-cache statistics — performance state only; shared tables are
-//!   pure functions of counts and consume no randomness, so a cold cache
-//!   cannot change any replica's draws (cache hit/round *statistics* may
-//!   differ between legs; per-replica results never do),
+//! * the ensemble's shared-table cache and adaptive-cache statistics —
+//!   performance state only; shared tables are pure functions of counts
+//!   and consume no randomness, so a cold cache cannot change any
+//!   replica's draws (cache hit/round *statistics* may differ between
+//!   legs; per-replica results never do),
 //! * thread-local activation-law memos in `consensus-dynamics` — restored
 //!   samplers announce a fresh run generation, so the first refresh is a
 //!   cold rebuild with bit-identical values.

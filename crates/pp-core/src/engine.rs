@@ -93,7 +93,6 @@ use crate::checkpoint::{
 };
 use crate::config::Configuration;
 use crate::count_sim::CountSimulator;
-use crate::ensemble::RowTable;
 use crate::error::PpError;
 use crate::opinion::AgentState;
 use crate::protocol::OpinionProtocol;
@@ -475,7 +474,7 @@ pub struct BatchedEngine<P> {
     /// Refreshes served so far, for the sampled debug cross-check.
     refreshes: u64,
     stats: MaintenanceStats,
-    /// State-changing events drawn so far (standalone and lockstep paths).
+    /// State-changing events drawn so far.
     events_drawn: u64,
     /// Null interactions jumped over by geometric skips (and limit
     /// forwarding) so far.
@@ -586,10 +585,7 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
 
     /// Fills `rows` with the per-category productive weights and `sums`
     /// with the productive initiator sums `S_cat` for the current counts,
-    /// and returns the row total.  A pure function of the configuration —
-    /// the standalone engine fills its maintained table with it, and the
-    /// ensemble layer fills cache-shared [`RowTable`]s, so both paths see
-    /// bit-identical weights.
+    /// and returns the row total.  A pure function of the configuration.
     fn fill_table(&self, rows: &mut Vec<u128>, sums: &mut Vec<u64>) -> u128 {
         let k = self.config.num_opinions();
         rows.clear();
@@ -733,42 +729,22 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
         }
     }
 
-    /// A freshly allocated row table for the current counts (the ensemble
-    /// layer caches these per counts key).
-    pub(crate) fn row_table(&self) -> RowTable {
-        let (mut rows, mut sums) = (Vec::new(), Vec::new());
-        let total = self.fill_table(&mut rows, &mut sums);
-        RowTable { rows, total, sums }
-    }
-
-    /// The protocol's productivity table, when it opted into the delta rule.
-    pub(crate) fn productivity_matrix_ref(&self) -> Option<&[bool]> {
-        self.matrix.as_deref()
-    }
-
-    /// The engine's RNG (the ensemble layer draws skips from it so lockstep
-    /// replicas consume randomness exactly as standalone runs do).
-    pub(crate) fn rng_mut(&mut self) -> &mut SmallRng {
-        &mut self.rng
-    }
-
     /// Records `skip` null interactions plus the event interaction itself.
-    pub(crate) fn record_event_interactions(&mut self, skip: u64) {
+    fn record_event_interactions(&mut self, skip: u64) {
         self.interactions += skip + 1;
         self.nulls_skipped += skip;
         self.events_drawn += 1;
     }
 
     /// Forwards the interaction counter to `limit` without an event.
-    pub(crate) fn forward_to(&mut self, limit: u64) {
+    fn forward_to(&mut self, limit: u64) {
         self.nulls_skipped += limit.saturating_sub(self.interactions);
         self.interactions = limit;
     }
 
     /// Draws the category pair of the next state-changing event from the
-    /// given row table and applies it — the shared tail of the standalone
-    /// and lockstep advance paths.  One draw picks the whole event: a unit
-    /// below `total` decomposes as (responder category, responder identity
+    /// maintained row table and applies it.  One draw picks the whole
+    /// event: a unit below `total` decomposes as (responder category, responder identity
     /// within the category, initiator unit); the row scan finds the
     /// category, and because `row = c_r · S_r` factors into independent
     /// responder-identity and initiator-weight parts, the remainder modulo
@@ -778,16 +754,11 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
     /// Returns the applied `(from, to)` responder move and invalidates the
     /// maintained row table (callers on the incremental path re-validate it
     /// by patching).
-    pub(crate) fn draw_and_apply_event(
-        &mut self,
-        rows: &[u128],
-        sums: &[u64],
-        total: u128,
-    ) -> (AgentState, AgentState) {
+    fn draw_and_apply_event(&mut self, total: u128) -> (AgentState, AgentState) {
         let k = self.config.num_opinions();
         let mut target = uniform_u128_below(&mut self.rng, total);
         let mut responder_cat = k;
-        for (cat, &row) in rows.iter().enumerate() {
+        for (cat, &row) in self.rows.iter().enumerate() {
             if target < row {
                 responder_cat = cat;
                 break;
@@ -796,7 +767,7 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
         }
         let responder = AgentState::from_category(responder_cat, k);
         debug_assert!(self.config.category_count(responder_cat) > 0);
-        let initiator_total = sums[responder_cat];
+        let initiator_total = self.sums[responder_cat];
         // The 64-bit remainder serves every population up to ~4·10⁹, whose
         // weights fit u64; the remainder is below `S_r`, so it fits u64.
         let mut itarget = match u64::try_from(target) {
@@ -956,11 +927,7 @@ impl<P: OpinionProtocol> StepEngine for BatchedEngine<P> {
             return Advance::LimitReached;
         };
         self.record_event_interactions(skip);
-        let rows = std::mem::take(&mut self.rows);
-        let sums = std::mem::take(&mut self.sums);
-        let (from, to) = self.draw_and_apply_event(&rows, &sums, total);
-        self.rows = rows;
-        self.sums = sums;
+        let (from, to) = self.draw_and_apply_event(total);
         self.apply_row_delta(from, to);
         Advance::Event
     }

@@ -1,44 +1,47 @@
-//! Lockstep multi-replica simulation with shared row computations and
+//! Lockstep multi-replica simulation with shared per-counts tables and
 //! parallel replica advancement.
 //!
 //! Every Monte Carlo experiment in this workspace (hitting times, phase
 //! durations, bias sweeps) averages over independent replicas of the same
-//! protocol and initial configuration.  Run one at a time, each replica
-//! re-derives the per-counts data its skip-ahead engine needs — the
-//! productive row table of a [`BatchedEngine`], the activation law of a
-//! sampling dynamic — even though those tables are pure functions of the
-//! count vector and the replicas walk heavily overlapping regions of the
-//! count space.  [`EnsembleEngine`] removes that waste by advancing `R`
-//! replicas in *lockstep rounds*:
+//! protocol and initial configuration.  [`EnsembleEngine`] advances `R` such
+//! replicas in *scheduling windows*: at each window boundary the live
+//! replicas are partitioned into contiguous chunks over the worker threads
+//! of the shared [`crate::parallel`] layer, and every worker advances its
+//! chunk through one window of one of two shapes.
 //!
-//! 1. **Shared row computations.** Between state-changing events a replica's
-//!    counts are frozen, so the per-counts tables are exact to share: the
-//!    ensemble keeps a counts-keyed cache of [`EnsembleReplica::Shared`]
-//!    values, computes each table once, and hands the cached copy to every
-//!    replica that currently sits at (or later revisits) the same counts.
-//!    All replicas start from the identical configuration, and events move
-//!    single agents, so the walks revisit cached counts constantly —
-//!    especially in effectively low-dimensional workloads (two opinions, no
-//!    undecided pool) where [`EnsembleRunResult::shared_reuse_fraction`]
-//!    typically exceeds 90%.  Sharing only pays when the table costs more
-//!    than the map traffic, so the cache is *adaptive* by default
-//!    ([`SharedCacheMode`]): windows with too little measured reuse turn
-//!    the map dormant and recompute into per-replica scratch instead.
-//! 2. **Parallel replica advancement.** Rounds are scheduled in *windows*
-//!    of [`LOCKSTEP_WINDOW_ROUNDS`] rounds.  At each window boundary the
-//!    counts-keyed table map is *frozen*; within the window the live
-//!    replicas are partitioned into contiguous chunks over the worker
-//!    threads of the shared [`crate::parallel`] layer, and every worker
-//!    advances its chunk round by round — reading the frozen map
-//!    immutably, computing tables the map lacks into a worker-local
-//!    overlay, and drawing each replica's geometric skip and event from
-//!    that replica's own RNG.  At the window's end the workers' freshly
-//!    computed tables are merged back into the map (in worker order) and
-//!    the next window begins.  Freezing per window rather than per round
-//!    is what makes the pool affordable: scoped worker threads cost tens
-//!    of microseconds to fork/join, which a window of
-//!    `R × LOCKSTEP_WINDOW_ROUNDS` events amortizes and a single round of
-//!    `R` events would not.
+//! 1. **Mapped windows: shared row computations.** A sampling dynamic
+//!    rebuilds its activation law from the counts before every event — for
+//!    the j-Majority family an `O(k²j³)` dynamic program — even though the
+//!    law is a pure function of the count vector and replicas started from
+//!    one configuration walk heavily overlapping regions of the count
+//!    space.  Between events a replica's counts are frozen, so the law is
+//!    exact to share: the ensemble keeps a counts-keyed map of
+//!    [`EnsembleReplica::Shared`] tables, *frozen* for the window.  Workers
+//!    advance their chunks in up to [`LOCKSTEP_WINDOW_ROUNDS`] lockstep
+//!    rounds of one event per replica, reading the map immutably, computing
+//!    tables it lacks into a worker-local overlay, and drawing each
+//!    replica's geometric skip and event from that replica's own RNG.  At
+//!    the window's end the overlays merge back into the map (in worker
+//!    order).  In effectively low-dimensional workloads (two opinions, no
+//!    undecided pool) [`EnsembleRunResult::shared_reuse_fraction`]
+//!    typically exceeds 90%.
+//! 2. **Dormant windows: standalone advancement.** Every live replica
+//!    advances through its own [`StepEngine::advance`], up to 256 events at
+//!    a time, at standalone cost and locality.
+//!
+//! Whether a replica shares is a property of its type
+//! ([`EnsembleReplica::compute_shared`]), never a caller's choice.
+//! [`BatchedEngine`] replicas — and so every USD ensemble — never share:
+//! the batched engine patches its `O(k)` row table in place per event,
+//! which no counts-keyed lookup can beat, so all their windows are dormant.
+//! Replica types that share run an adaptive policy, because no fixed rule
+//! is right for them: a stretch of 4096 lookups whose hit rate falls below
+//! 75% turns the map dormant for a number of windows that backs off
+//! exponentially while later probes keep failing.
+//!
+//! Windows rather than single rounds are the unit of scheduling because
+//! scoped worker threads cost tens of microseconds to fork/join, which a
+//! window's events amortize and a single round of `R` events would not.
 //!
 //! # Exactness
 //!
@@ -50,11 +53,11 @@
 //!
 //! * the shared tables consume no randomness and are pure functions of the
 //!   count vector, so dedup, caching, and *where* a table was computed
-//!   (map, overlay, or scratch) cannot alter any replica's draws,
-//! * each replica owns its RNG stream, and [`EnsembleReplica`] splits the
-//!   standalone `advance` into the same sequence of draws (skip first, then
-//!   the event) the standalone path performs — interleaving replicas never
-//!   reorders draws *within* one stream, and
+//!   (map or overlay) cannot alter any replica's draws,
+//! * each replica owns its RNG stream, and
+//!   [`EnsembleReplica::advance_shared`] performs the same sequence of draws
+//!   (skip first, then the event) the standalone `advance` does —
+//!   interleaving replicas never reorders draws *within* one stream, and
 //! * the worker partition is deterministic (contiguous chunks in replica
 //!   order — see the [`crate::parallel`] determinism contract) and workers
 //!   share no mutable state, so thread count and scheduling affect only
@@ -103,7 +106,7 @@ use crate::checkpoint::{
     Checkpoint, EngineCheckpoint, EngineState, EnsembleSnapshot, ReplicaCheckpoint,
 };
 use crate::config::Configuration;
-use crate::engine::{geometric_skip, Advance, BatchedEngine, EngineChoice, StepEngine};
+use crate::engine::{Advance, BatchedEngine, EngineChoice, StepEngine};
 use crate::error::PpError;
 use crate::parallel::{self, Parallelism};
 use crate::protocol::OpinionProtocol;
@@ -121,8 +124,8 @@ use std::sync::Arc;
 /// [`EnsembleEngine::with_cache_capacity`]).
 pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 20;
 
-/// Lockstep rounds per scheduling window: the table map freezes at every
-/// window boundary, workers advance their replica chunks for this many
+/// Lockstep rounds per mapped scheduling window: the table map freezes at
+/// every window boundary, workers advance their replica chunks for this many
 /// rounds against the frozen map, and freshly computed tables merge back at
 /// the window's end.  Large enough that a window of `R × 64` events
 /// amortizes the worker fork/join, small enough that newly discovered
@@ -134,168 +137,88 @@ pub const LOCKSTEP_WINDOW_ROUNDS: u64 = 64;
 /// advancement it parallelizes.
 const MIN_REPLICAS_PER_WORKER: usize = 2;
 
+/// Lookups per adaptivity window of the sharing policy.
+const ADAPTIVE_WINDOW_LOOKUPS: u64 = 4096;
+
+/// The adaptivity-window hit rate below which the map turns dormant.
+const ADAPTIVE_MIN_HIT: f64 = 0.75;
+
+/// Dormant scheduling windows after the first failed probe; doubled per
+/// consecutive failure up to `<< MAX_BACKOFF`.
+const DORMANT_WINDOWS: u64 = 8;
+
+/// Cap on the exponential dormancy backoff.
+const MAX_BACKOFF: u32 = 6;
+
+/// Events each live replica advances per dormant scheduling window
+/// (chunking keeps the replica's state hot and the scheduling overhead
+/// negligible).
+const DORMANT_CHUNK_EVENTS: u32 = 256;
+
 /// A replica engine that can be advanced in lockstep with its siblings.
 ///
-/// The trait decomposes a skip-ahead `advance` into the pieces the ensemble
-/// schedules separately: a per-counts [`Shared`](EnsembleReplica::Shared)
-/// table that consumes no randomness (and is therefore exact to dedup across
-/// replicas whose counts coincide), the geometric skip draw, and the event
-/// draw.  Implementations must consume their RNG in *exactly* the order the
-/// standalone [`StepEngine::advance`] does — skip first, then the event —
-/// so that a lockstep replica stays bit-identical to a standalone run with
-/// the same seed.
+/// A replica type either shares a per-counts
+/// [`Shared`](EnsembleReplica::Shared) table with its siblings — a table
+/// that consumes no randomness and is therefore exact to dedup across
+/// replicas whose counts coincide — or never shares (its table type is
+/// [`Unshared`]), in which case every scheduling window advances it
+/// through its own [`StepEngine::advance`].
 pub trait EnsembleReplica: StepEngine {
-    /// The per-counts data shared between replicas at the same counts: the
-    /// productive row table for [`BatchedEngine`], the activation law for a
-    /// sampling dynamic.  Must be a pure function of the count vector.
-    /// Shared tables cross worker threads behind [`Arc`]s, so parallel runs
-    /// additionally need `Shared: Send + Sync` (every shipped table type
-    /// is plain data).
+    /// The per-counts data shared between replicas at the same counts (the
+    /// activation law for a sampling dynamic), or [`Unshared`].  Must be a
+    /// pure function of the count vector.  Shared tables cross worker
+    /// threads behind [`Arc`]s, so parallel runs additionally need
+    /// `Shared: Send + Sync` (every shipped table type is plain data).
     type Shared;
 
-    /// Computes the shared table for the current counts.  Consumes no RNG.
+    /// Computes the shared table for the current counts, consuming no RNG,
+    /// or returns `None` when replicas of this type never share.
     ///
     /// # Errors
     ///
-    /// Returns [`PpError::UnsupportedEngine`] when the replica cannot
+    /// `Some(Err(PpError::UnsupportedEngine))` when the replica cannot
     /// provide a shared skip-ahead table (e.g. a sampling dynamic without
     /// closed-form hooks); [`EnsembleEngine::try_new`] surfaces this as a
     /// construction-time diagnostic.
-    fn compute_shared(&self) -> Result<Self::Shared, PpError>;
+    fn compute_shared(&self) -> Option<Result<Self::Shared, PpError>>;
 
-    /// Derives the shared table for this replica's *current* counts from a
-    /// table previously computed at the counts in `prev_key` (cache-key
-    /// layout: supports then undecided), by replaying the count delta —
-    /// `O(k · changed categories)` instead of a full rebuild.  Consumes no
-    /// RNG.  Must be **bit-identical** to
-    /// [`compute_shared`](EnsembleReplica::compute_shared); the default
-    /// returns `None` (no derivation; the ensemble computes fresh).
-    fn derive_shared(&self, prev: &Self::Shared, prev_key: &[u64]) -> Option<Self::Shared> {
-        let _ = (prev, prev_key);
+    /// Advances to the next state-changing event, or to `limit`
+    /// interactions, reading the event probability and the event law from
+    /// `shared` (computed at the current counts).  Must consume this
+    /// replica's RNG in *exactly* the order [`StepEngine::advance`] does —
+    /// skip first, then the event — so that a lockstep replica stays
+    /// bit-identical to a standalone run with the same seed.
+    fn advance_shared(&mut self, shared: &Self::Shared, limit: u64) -> Advance;
+}
+
+/// The table type of a replica that never shares: uninhabited, so no table
+/// of it can be built and every window such a replica joins is dormant.
+#[derive(Debug)]
+pub enum Unshared {}
+
+/// Batched replicas never share: [`BatchedEngine`] patches its `O(k)` row
+/// table in place per event, which no counts-keyed lookup can beat.
+impl<P: OpinionProtocol> EnsembleReplica for BatchedEngine<P> {
+    type Shared = Unshared;
+
+    fn compute_shared(&self) -> Option<Result<Unshared, PpError>> {
         None
     }
 
-    /// The probability that one interaction changes the state, read from the
-    /// shared table.  Must equal the value the standalone `advance` derives.
-    fn event_probability(&self, shared: &Self::Shared) -> f64;
-
-    /// Draws the geometric number of null interactions preceding the next
-    /// event from this replica's own RNG (`None` = the skip provably
-    /// overshoots `headroom`; memorylessness makes re-sampling later exact).
-    fn draw_skip(&mut self, p: f64, headroom: u64) -> Option<u64>;
-
-    /// Records `skip` null interactions plus the event interaction, then
-    /// draws the state-changing event from the shared table (using this
-    /// replica's own RNG) and applies it.
-    fn apply_event(&mut self, shared: &Self::Shared, skip: u64);
-
-    /// Forwards the interaction counter to `limit` without an event (the
-    /// skip overshot, or the configuration is absorbing).
-    fn forward_to_limit(&mut self, limit: u64);
-}
-
-impl<P: OpinionProtocol> EnsembleReplica for BatchedEngine<P> {
-    type Shared = RowTable;
-
-    fn compute_shared(&self) -> Result<RowTable, PpError> {
-        Ok(self.row_table())
+    fn advance_shared(&mut self, shared: &Unshared, _limit: u64) -> Advance {
+        match *shared {}
     }
-
-    fn derive_shared(&self, prev: &RowTable, prev_key: &[u64]) -> Option<RowTable> {
-        let matrix = self.productivity_matrix_ref()?;
-        let config = StepEngine::configuration(self);
-        let k = config.num_opinions();
-        if prev_key.len() != k + 1 {
-            return None;
-        }
-        // Replay the count delta onto the productive initiator sums, then
-        // re-derive `row = c_cat · S_cat` — exact integers throughout, so
-        // the result is bit-identical to `compute_shared` at these counts.
-        let mut sums = prev.sums.clone();
-        for i in 0..=k {
-            let old = prev_key[i];
-            let new = config.category_count(i);
-            if old == new {
-                continue;
-            }
-            for (cat, sum) in sums.iter_mut().enumerate() {
-                if matrix[cat * (k + 1) + i] {
-                    if new >= old {
-                        *sum += new - old;
-                    } else {
-                        *sum -= old - new;
-                    }
-                }
-            }
-        }
-        let mut rows = vec![0u128; k + 1];
-        let mut total = 0u128;
-        for (cat, row_slot) in rows.iter_mut().enumerate() {
-            let row = u128::from(config.category_count(cat)) * u128::from(sums[cat]);
-            *row_slot = row;
-            total += row;
-        }
-        let derived = RowTable { rows, total, sums };
-        #[cfg(any(debug_assertions, feature = "exhaustive-checks"))]
-        {
-            let fresh = self
-                .compute_shared()
-                .expect("batched replicas always provide row tables");
-            assert_eq!(
-                derived, fresh,
-                "neighbor-delta derivation diverged from a fresh table at {}",
-                config
-            );
-        }
-        Some(derived)
-    }
-
-    fn event_probability(&self, shared: &RowTable) -> f64 {
-        let n = StepEngine::configuration(self).population() as f64;
-        shared.total as f64 / (n * n)
-    }
-
-    fn draw_skip(&mut self, p: f64, headroom: u64) -> Option<u64> {
-        geometric_skip(self.rng_mut(), p, headroom)
-    }
-
-    fn apply_event(&mut self, shared: &RowTable, skip: u64) {
-        self.record_event_interactions(skip);
-        self.draw_and_apply_event(&shared.rows, &shared.sums, shared.total);
-    }
-
-    fn forward_to_limit(&mut self, limit: u64) {
-        self.forward_to(limit);
-    }
-}
-
-/// The shared per-counts table of a [`BatchedEngine`] replica: productive
-/// weight per responder category plus their sum (`W`; the event probability
-/// is `W/n²`), and the per-category productive initiator sums `S_cat` that
-/// let a neighbor's table be derived by replaying a count delta.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RowTable {
-    /// Productive weight per responder category (`k + 1` entries, undecided
-    /// last), matching the standalone engine's scratch rows bit for bit.
-    pub rows: Vec<u128>,
-    /// Sum of the rows.
-    pub total: u128,
-    /// Per-category productive initiator sums (`row_cat = c_cat · S_cat`,
-    /// `S_cat ≤ n`), which the event draw reads.  When the protocol opted
-    /// out of the delta rule they are derived as `row_cat / c_cat`, and
-    /// neighbor-delta derivation is disabled: misses compute fresh.
-    pub sums: Vec<u64>,
 }
 
 /// An `EngineChoice`-adjacent selector for ensemble runs: how many lockstep
 /// replicas to advance, which per-replica backend drives each of them, and
 /// how many worker threads spread the replicas.
 ///
-/// Only the batched backend is a valid base — the lockstep engine exists to
-/// share skip-ahead tables, which the exact backend does not use, the
-/// sharded backend manages per-shard (and spawns threads of its own), and
-/// the mean-field backend replaces with a deterministic ODE.  Those
-/// combinations are rejected by [`EnsembleChoice::validate`] with an
+/// Only the batched backend is a valid base — the exact backend is the
+/// slow reference the batched one replaces, the sharded backend spawns
+/// threads of its own, and the mean-field and hybrid backends replace (part
+/// of) the chain with a deterministic ODE.  Those combinations are
+/// rejected by [`EnsembleChoice::validate`] with an
 /// [`PpError::UnsupportedEngine`] naming the offending nesting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EnsembleChoice {
@@ -417,12 +340,9 @@ pub struct EnsembleRunResult {
     rounds: u64,
     shared_hits: u64,
     shared_misses: u64,
-    #[serde(default)]
-    shared_derived: u64,
     cache_evictions: u64,
     workers: u64,
-    /// Events advanced by dormant scheduling windows (a subset of
-    /// `shared_misses` — the adaptive cache books dormant events as misses).
+    /// Events advanced by dormant scheduling windows.
     #[serde(default)]
     dormant_events: u64,
 }
@@ -458,8 +378,13 @@ impl EnsembleRunResult {
         self.results.is_empty()
     }
 
-    /// Lockstep rounds the run took (per scheduling window, the longest
-    /// worker's round count).
+    /// Scheduling rounds the run took (per mapped window, the longest
+    /// worker's round count; one per dormant window).  Like
+    /// [`dormant_events`](EnsembleRunResult::dormant_events), and like the
+    /// replicas' own counters, it covers the ensemble's whole life — every
+    /// `run_windows` call and, after a restore, the checkpointed legs — so
+    /// a paused and resumed run reports what the uninterrupted one does.
+    /// The shared-table counters cover the returning call only.
     #[must_use]
     pub fn rounds(&self) -> u64 {
         self.rounds
@@ -474,27 +399,18 @@ impl EnsembleRunResult {
     }
 
     /// Shared-table lookups answered from the counts-keyed cache (the
-    /// frozen map or a worker's same-window overlay).
+    /// frozen map or a worker's same-window overlay).  Always 0 for replica
+    /// types that never share.
     #[must_use]
     pub fn shared_hits(&self) -> u64 {
         self.shared_hits
     }
 
-    /// Shared-table lookups that had to compute a fresh table.
+    /// Shared-table lookups that had to compute a fresh table (dormant
+    /// windows look nothing up).
     #[must_use]
     pub fn shared_misses(&self) -> u64 {
         self.shared_misses
-    }
-
-    /// Counts-key misses answered by *neighbor-delta derivation*: the table
-    /// was derived from the replica's previously used table by replaying
-    /// the count delta ([`EnsembleReplica::derive_shared`]) instead of
-    /// being rebuilt from the full counts.  Derivations are counted as
-    /// misses by the adaptive cache policy (they bypass the map), so
-    /// `shared_misses − shared_derived` is the number of full rebuilds.
-    #[must_use]
-    pub fn shared_derived(&self) -> u64 {
-        self.shared_derived
     }
 
     /// How often the cache was cleared because it hit its capacity bound.
@@ -503,8 +419,9 @@ impl EnsembleRunResult {
         self.cache_evictions
     }
 
-    /// Events advanced through dormant scheduling windows (the adaptive
-    /// cache's standalone fallback; always 0 under [`SharedCacheMode::Always`]).
+    /// Events advanced through dormant scheduling windows: every event of a
+    /// replica type that never shares, and the adaptive policy's standalone
+    /// stretches for one that does.
     #[must_use]
     pub fn dormant_events(&self) -> u64 {
         self.dormant_events
@@ -547,7 +464,6 @@ impl EnsembleRunResult {
         snap.add_counter("ensemble.rounds", self.rounds);
         snap.add_counter("ensemble.shared_hits", self.shared_hits);
         snap.add_counter("ensemble.shared_misses", self.shared_misses);
-        snap.add_counter("ensemble.shared_derived", self.shared_derived);
         snap.add_counter("ensemble.cache_evictions", self.cache_evictions);
         snap.add_counter("ensemble.dormant_events", self.dormant_events);
         snap.set_gauge("ensemble.replicas", self.results.len() as f64);
@@ -589,66 +505,23 @@ impl EnsembleRunResult {
     }
 }
 
-/// How the ensemble shares per-counts tables across replicas.
-///
-/// Sharing is only a win when the table is dearer than the map traffic that
-/// caches it: a hit saves one table computation but costs a hash lookup, a
-/// miss additionally pays an insert and two allocations.  For the j-Majority
-/// family (an `O(k²j³)` dynamic program per table, reuse above 90% in the
-/// two-opinion regime) the cache is the whole point; for the USD (an `O(k)`
-/// integer table) it can cost an order of magnitude more than it saves.
-/// The mode never affects *results* — only wall-clock — because shared
-/// tables are pure functions of the counts and consume no randomness.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SharedCacheMode {
-    /// Windowed self-tuning (the default): cache while the measured reuse
-    /// rate clears [`SharedCacheMode::ADAPTIVE_MIN_HIT`], go dormant when
-    /// it does not — dormant scheduling windows advance each replica
-    /// through its own standalone `advance` in chunks, at standalone cost —
-    /// and re-probe after a dormancy period that backs off exponentially
-    /// while probes keep failing.
-    #[default]
-    Adaptive,
-    /// Cache unconditionally.
-    Always,
-    /// Never cache: every scheduling window advances the replicas through
-    /// their own standalone `advance` (the ensemble then costs what the
-    /// replica loop costs, interleaved at chunk granularity — and still
-    /// parallelizes over the worker pool).
-    Never,
-}
-
-impl SharedCacheMode {
-    /// The window hit rate below which [`SharedCacheMode::Adaptive`] turns
-    /// the map dormant.
-    pub const ADAPTIVE_MIN_HIT: f64 = 0.75;
-    /// Lookups per adaptivity window.
-    pub const WINDOW: u64 = 4096;
-    /// Dormant scheduling windows after the first failed probe; doubled per
-    /// consecutive failure up to `<< MAX_BACKOFF`.
-    pub const DORMANT_ROUNDS: u64 = 8;
-    /// Cap on the exponential dormancy backoff.
-    pub const MAX_BACKOFF: u32 = 6;
-    /// Events each live replica advances per dormant scheduling window
-    /// (chunking keeps the replica's state hot and the scheduling overhead
-    /// negligible).
-    pub const DORMANT_CHUNK_EVENTS: u32 = 256;
-}
-
-/// Counts-keyed cache of shared per-counts tables.  Keys are the full
-/// category count vector (supports then undecided); values are refcounted
-/// behind [`Arc`]s so a hit costs one pointer clone and tables flow to
-/// worker threads without copying.  The map is only ever *read* while
-/// workers run (it freezes per scheduling window) and only ever *written*
-/// between windows, on the coordinating thread.
+/// Counts-keyed cache of shared per-counts tables and the adaptive policy
+/// that decides, per scheduling window, whether the window resolves tables
+/// through it.  Keys are the full category count vector (supports then
+/// undecided); values are refcounted behind [`Arc`]s so a hit costs one
+/// pointer clone and tables flow to worker threads without copying.  The
+/// map is only ever *read* while workers run (it freezes per scheduling
+/// window) and only ever *written* between windows, on the coordinating
+/// thread.
 #[derive(Debug)]
 struct SharedCache<S> {
     map: HashMap<Box<[u64]>, Arc<S>>,
     capacity: usize,
-    mode: SharedCacheMode,
+    /// Whether the replica type shares at all (`false`: every window is
+    /// dormant).
+    shares: bool,
     hits: u64,
     misses: u64,
-    derived: u64,
     evictions: u64,
     window_lookups: u64,
     window_hits: u64,
@@ -657,14 +530,13 @@ struct SharedCache<S> {
 }
 
 impl<S> SharedCache<S> {
-    fn new(capacity: usize, mode: SharedCacheMode) -> Self {
+    fn new(shares: bool) -> Self {
         SharedCache {
             map: HashMap::new(),
-            capacity: capacity.max(1),
-            mode,
+            capacity: DEFAULT_CACHE_CAPACITY,
+            shares,
             hits: 0,
             misses: 0,
-            derived: 0,
             evictions: 0,
             window_lookups: 0,
             window_hits: 0,
@@ -677,24 +549,14 @@ impl<S> SharedCache<S> {
     /// the (frozen) map.  A `false` window is dormant: the replicas advance
     /// through their standalone paths (in chunks) at standalone cost.
     fn window_uses_map(&mut self) -> bool {
-        match self.mode {
-            SharedCacheMode::Always => true,
-            SharedCacheMode::Never => false,
-            SharedCacheMode::Adaptive => {
-                if self.dormant_windows > 0 {
-                    self.dormant_windows -= 1;
-                    false
-                } else {
-                    true
-                }
-            }
+        if !self.shares {
+            false
+        } else if self.dormant_windows > 0 {
+            self.dormant_windows -= 1;
+            false
+        } else {
+            true
         }
-    }
-
-    /// Accounts the events a dormant window advanced without any table
-    /// sharing (they enter the reuse statistics as misses).
-    fn note_dormant_events(&mut self, events: u64) {
-        self.misses += events;
     }
 
     /// Merges one scheduling window's worker outputs back into the cache:
@@ -710,7 +572,6 @@ impl<S> SharedCache<S> {
             rounds = rounds.max(output.rounds);
             self.hits += output.hits;
             self.misses += output.misses;
-            self.derived += output.derived;
             self.window_hits += output.hits;
             self.window_lookups += output.hits + output.misses;
             for (key, table) in output.tables {
@@ -721,19 +582,17 @@ impl<S> SharedCache<S> {
                 self.map.insert(key, table);
             }
         }
-        if self.window_lookups >= SharedCacheMode::WINDOW {
+        if self.window_lookups >= ADAPTIVE_WINDOW_LOOKUPS {
             // End of an adaptivity window: a reuse rate that no longer pays
             // for the map traffic turns the map dormant until the next
             // probe, with exponentially backed-off dormancy while probes
             // keep failing (entries are kept — probes start warm).
             let rate = self.window_hits as f64 / self.window_lookups as f64;
-            if self.mode == SharedCacheMode::Adaptive {
-                if rate < SharedCacheMode::ADAPTIVE_MIN_HIT {
-                    self.dormant_windows = SharedCacheMode::DORMANT_ROUNDS << self.backoff;
-                    self.backoff = (self.backoff + 1).min(SharedCacheMode::MAX_BACKOFF);
-                } else {
-                    self.backoff = 0;
-                }
+            if rate < ADAPTIVE_MIN_HIT {
+                self.dormant_windows = DORMANT_WINDOWS << self.backoff;
+                self.backoff = (self.backoff + 1).min(MAX_BACKOFF);
+            } else {
+                self.backoff = 0;
             }
             self.window_lookups = 0;
             self.window_hits = 0;
@@ -742,31 +601,26 @@ impl<S> SharedCache<S> {
     }
 }
 
-/// A replica's most recently used shared table together with the counts key
-/// it was computed at — the *neighbor* that counts-key misses derive from.
-type PrevShared<S> = Option<(Box<[u64]>, Arc<S>)>;
-
 /// One worker's mutable view of a replica: the engine, the slot its
 /// finished [`RunResult`] lands in (index-aligned with construction order
-/// through the deterministic partition), the replica's neighbor table
-/// for delta derivation, and the replica's recorder (fed the same
-/// event-by-event observation stream [`StepEngine::run_engine_recorded`]
-/// produces; [`NullRecorder`]s on the plain [`EnsembleEngine::run`] path).
+/// through the deterministic partition), and the replica's recorder (fed
+/// the same event-by-event observation stream
+/// [`StepEngine::run_engine_recorded`] produces; [`NullRecorder`]s on the
+/// plain [`EnsembleEngine::run`] path).
 struct ReplicaSlot<'a, E: EnsembleReplica, R: Recorder> {
     replica: &'a mut E,
     result: &'a mut Option<RunResult>,
-    prev: &'a mut PrevShared<E::Shared>,
     recorder: &'a mut R,
 }
 
-/// What one worker brings back from a scheduling window: the tables it had
-/// to compute (in computation order), its lookup statistics, and how many
-/// rounds it actually ran (workers stop early once their chunk finishes).
+/// What one worker brings back from a mapped scheduling window: the tables
+/// it had to compute (in computation order), its lookup statistics, and how
+/// many rounds it actually ran (workers stop early once their chunk
+/// finishes).
 struct WindowOutput<S> {
     tables: Vec<(Box<[u64]>, Arc<S>)>,
     hits: u64,
     misses: u64,
-    derived: u64,
     rounds: u64,
     events: u64,
 }
@@ -806,6 +660,33 @@ fn try_finish<E: EnsembleReplica, R: Recorder>(
     false
 }
 
+/// Observes one advance of a live replica: an event goes to the replica's
+/// recorder, and an absorbing configuration must still be able to meet the
+/// stop condition.  Returns whether the advance was an event.
+fn observe<E: EnsembleReplica, R: Recorder>(
+    slot: &mut ReplicaSlot<'_, E, R>,
+    stop: &StopCondition,
+    advance: Advance,
+) -> bool {
+    let replica = &*slot.replica;
+    match advance {
+        Advance::Event => {
+            slot.recorder
+                .record(replica.interactions(), replica.configuration());
+            true
+        }
+        Advance::LimitReached => false,
+        Advance::Absorbed => {
+            assert!(
+                stop.max_interactions().is_some() || stop.goal_met(replica.configuration()),
+                "absorbing configuration {} can never meet the stop condition",
+                replica.configuration()
+            );
+            false
+        }
+    }
+}
+
 /// Advances one worker's chunk through a mapped scheduling window: up to
 /// [`LOCKSTEP_WINDOW_ROUNDS`] lockstep rounds against the frozen `map`,
 /// with misses computed into a worker-local overlay that the coordinator
@@ -820,7 +701,6 @@ fn advance_window_mapped<E: EnsembleReplica, R: Recorder>(
         tables: Vec::new(),
         hits: 0,
         misses: 0,
-        derived: 0,
         rounds: 0,
         events: 0,
     };
@@ -833,61 +713,31 @@ fn advance_window_mapped<E: EnsembleReplica, R: Recorder>(
                 continue;
             }
             advanced_any = true;
-            let replica = &mut *slot.replica;
             // Resolve the shared table: frozen global map first, then this
-            // window's worker-local overlay, then derive from the replica's
-            // previously used table by replaying the count delta, then
-            // compute fresh.  All four paths yield bit-identical tables
-            // (pure functions of the counts).
-            counts_key(replica.configuration(), &mut key);
-            let shared = if let Some(table) = map.get(key.as_slice()) {
-                out.hits += 1;
-                Arc::clone(table)
-            } else if let Some(table) = overlay.get(key.as_slice()) {
+            // window's worker-local overlay, then compute fresh.  All three
+            // paths yield bit-identical tables (pure functions of the
+            // counts).
+            counts_key(slot.replica.configuration(), &mut key);
+            let cached = map
+                .get(key.as_slice())
+                .or_else(|| overlay.get(key.as_slice()));
+            let shared = if let Some(table) = cached {
                 out.hits += 1;
                 Arc::clone(table)
             } else {
                 out.misses += 1;
-                let derived = slot
-                    .prev
-                    .as_ref()
-                    .and_then(|(prev_key, prev)| replica.derive_shared(prev, prev_key));
-                let table = match derived {
-                    Some(table) => {
-                        out.derived += 1;
-                        Arc::new(table)
-                    }
-                    None => Arc::new(
-                        replica
-                            .compute_shared()
-                            .expect("replica stopped providing shared tables mid-run"),
-                    ),
+                let Some(Ok(table)) = slot.replica.compute_shared() else {
+                    panic!("replica stopped providing shared tables mid-run");
                 };
+                let table = Arc::new(table);
                 let boxed = key.clone().into_boxed_slice();
                 overlay.insert(boxed.clone(), Arc::clone(&table));
-                *slot.prev = Some((boxed.clone(), Arc::clone(&table)));
                 out.tables.push((boxed, Arc::clone(&table)));
                 table
             };
-            let p = replica.event_probability(&shared);
-            if p <= 0.0 {
-                replica.forward_to_limit(limit);
-                assert!(
-                    stop.max_interactions().is_some() || stop.goal_met(replica.configuration()),
-                    "absorbing configuration {} can never meet the stop condition",
-                    replica.configuration()
-                );
-                continue;
-            }
-            let headroom = limit - replica.interactions();
-            match replica.draw_skip(p, headroom) {
-                Some(skip) => {
-                    replica.apply_event(&shared, skip);
-                    out.events += 1;
-                    slot.recorder
-                        .record(replica.interactions(), replica.configuration());
-                }
-                None => replica.forward_to_limit(limit),
+            let advance = slot.replica.advance_shared(&shared, limit);
+            if observe(slot, stop, advance) {
+                out.events += 1;
             }
         }
         if !advanced_any {
@@ -898,11 +748,10 @@ fn advance_window_mapped<E: EnsembleReplica, R: Recorder>(
     out
 }
 
-/// Advances one worker's chunk through a dormant scheduling window (cache
-/// policy decided the map does not pay): every live replica advances
-/// through its own standalone `advance`, a chunk of events at a time —
-/// bit-identical draws at standalone cost and locality, no table
-/// resolution, no refcount traffic.  Returns the events advanced.
+/// Advances one worker's chunk through a dormant scheduling window: every
+/// live replica advances through its own standalone `advance`, a chunk of
+/// events at a time — bit-identical draws at standalone cost and locality,
+/// no table resolution, no refcount traffic.  Returns the events advanced.
 fn advance_window_dormant<E: EnsembleReplica, R: Recorder>(
     slots: &mut [ReplicaSlot<'_, E, R>],
     stop: &StopCondition,
@@ -913,8 +762,8 @@ fn advance_window_dormant<E: EnsembleReplica, R: Recorder>(
         if slot.result.is_some() || try_finish(slot, stop) {
             continue;
         }
-        let replica = &mut *slot.replica;
-        for _ in 0..SharedCacheMode::DORMANT_CHUNK_EVENTS {
+        for _ in 0..DORMANT_CHUNK_EVENTS {
+            let replica = &*slot.replica;
             if stop.goal_met(replica.configuration())
                 || stop
                     .max_interactions()
@@ -922,30 +771,20 @@ fn advance_window_dormant<E: EnsembleReplica, R: Recorder>(
             {
                 break;
             }
-            match StepEngine::advance(replica, limit) {
-                Advance::Event => {
-                    events += 1;
-                    slot.recorder
-                        .record(replica.interactions(), replica.configuration());
-                }
-                Advance::LimitReached => break,
-                Advance::Absorbed => {
-                    assert!(
-                        stop.max_interactions().is_some() || stop.goal_met(replica.configuration()),
-                        "absorbing configuration {} can never meet the stop condition",
-                        replica.configuration()
-                    );
-                    break;
-                }
+            let advance = StepEngine::advance(slot.replica, limit);
+            if !observe(slot, stop, advance) {
+                break;
             }
+            events += 1;
         }
     }
     events
 }
 
-/// Advances `R` replicas of one protocol/configuration in lockstep rounds
-/// with counts-deduplicated shared tables and worker-parallel replica
-/// advancement (module docs have the full design and exactness argument).
+/// Advances `R` replicas of one protocol/configuration in scheduling
+/// windows, with counts-deduplicated shared tables for replica types that
+/// share and worker-parallel replica advancement (module docs have the full
+/// design and exactness argument).
 ///
 /// Worker threads come from the shared [`crate::parallel`] layer; select
 /// the count with [`EnsembleEngine::with_parallelism`].  Thread count never
@@ -995,10 +834,16 @@ where
         // Surface "this backend cannot share tables" at construction, not
         // mid-run: the shipped dynamics support every configuration, so a
         // failure here is the caller requesting an unsupported combination.
-        first.compute_shared()?;
+        let shares = match first.compute_shared() {
+            Some(table) => {
+                table?;
+                true
+            }
+            None => false,
+        };
         Ok(EnsembleEngine {
             replicas,
-            cache: SharedCache::new(DEFAULT_CACHE_CAPACITY, SharedCacheMode::default()),
+            cache: SharedCache::new(shares),
             parallelism: Parallelism::auto(),
             rounds: 0,
             dormant_events: 0,
@@ -1019,18 +864,10 @@ where
     /// Bounds the number of cached shared tables (default
     /// [`DEFAULT_CACHE_CAPACITY`]).  Smaller caches trade recomputation for
     /// memory; the cache is cleared wholesale when the bound is hit.
+    /// Replica types that never share cache nothing.
     #[must_use]
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache = SharedCache::new(capacity, self.cache.mode);
-        self
-    }
-
-    /// Selects the shared-table caching policy (default
-    /// [`SharedCacheMode::Adaptive`]).  Never affects results, only
-    /// wall-clock — see [`SharedCacheMode`].
-    #[must_use]
-    pub fn with_cache_mode(mut self, mode: SharedCacheMode) -> Self {
-        self.cache = SharedCache::new(self.cache.capacity, mode);
+        self.cache.capacity = capacity.max(1);
         self
     }
 
@@ -1120,10 +957,11 @@ where
     /// checkpoint layer captures at (see [`crate::checkpoint`]): call
     /// [`Checkpoint::capture`] on the paused engine, and resume (here or in
     /// a restored engine) by calling this again **with the same `stop`**.
-    /// Pausing discards the paused leg's partial bookkeeping; the
-    /// completing call recomputes every replica's [`RunResult`] purely from
-    /// replica state, so per-replica results are bit-identical to an
-    /// uninterrupted [`EnsembleEngine::run`].
+    /// Pausing discards the paused leg's partial results and cache
+    /// counters (rounds and dormant events carry over); the completing call
+    /// recomputes every replica's [`RunResult`] purely from replica state,
+    /// so per-replica results are bit-identical to an uninterrupted
+    /// [`EnsembleEngine::run`].
     ///
     /// # Panics
     ///
@@ -1181,15 +1019,8 @@ where
         let mut events_observed = 0u64;
         let hits_before = self.cache.hits;
         let misses_before = self.cache.misses;
-        let derived_before = self.cache.derived;
         let evictions_before = self.cache.evictions;
-        let replica_count = self.replicas.len();
-        let mut results: Vec<Option<RunResult>> = vec![None; replica_count];
-        // Per-replica neighbor tables for delta derivation; scoped to one
-        // run (stale tables from a previous run would still derive
-        // correctly, but the counts jump at re-initialization makes a
-        // fresh start cheaper).
-        let mut prevs: Vec<PrevShared<E::Shared>> = (0..replica_count).map(|_| None).collect();
+        let mut results: Vec<Option<RunResult>> = vec![None; self.replicas.len()];
         let limit = stop.max_interactions().unwrap_or(u64::MAX);
         let mut workers_used = 1u64;
         let mut windows_run = 0u64;
@@ -1202,13 +1033,11 @@ where
                 .replicas
                 .iter_mut()
                 .zip(results.iter_mut())
-                .zip(prevs.iter_mut())
                 .zip(recorders.iter_mut())
-                .filter(|(((_, result), _), _)| result.is_none())
-                .map(|(((replica, result), prev), recorder)| ReplicaSlot {
+                .filter(|((_, result), _)| result.is_none())
+                .map(|((replica, result), recorder)| ReplicaSlot {
                     replica,
                     result,
-                    prev,
                     recorder,
                 })
                 .collect();
@@ -1217,8 +1046,8 @@ where
             }
             if windows_run >= max_windows {
                 // Pause: live replicas remain but the window budget is
-                // spent.  Partial results and neighbor tables are dropped —
-                // the completing call recomputes both, bit-identically.
+                // spent.  Partial results are dropped — the completing call
+                // recomputes them, bit-identically.
                 return None;
             }
             // Re-resolved per window so tail windows (most replicas
@@ -1257,7 +1086,6 @@ where
                 let events: u64 = events.into_iter().sum();
                 events_observed += events;
                 self.dormant_events += events;
-                self.cache.note_dormant_events(events);
             }
             windows_run += 1;
         }
@@ -1267,16 +1095,17 @@ where
                 .into_iter()
                 .map(|r| r.expect("every replica finished"))
                 .collect(),
-            rounds: self.rounds - rounds_before,
+            rounds: self.rounds,
             shared_hits: self.cache.hits - hits_before,
             shared_misses: self.cache.misses - misses_before,
-            shared_derived: self.cache.derived - derived_before,
             cache_evictions: self.cache.evictions - evictions_before,
             workers: workers_used,
-            dormant_events: self.dormant_events - dormant_before,
+            dormant_events: self.dormant_events,
         };
         if self.tel.is_enabled() {
-            self.tel.counter("ensemble.rounds").add(result.rounds);
+            self.tel
+                .counter("ensemble.rounds")
+                .add(self.rounds - rounds_before);
             self.tel
                 .counter("ensemble.shared_hits")
                 .add(result.shared_hits);
@@ -1284,14 +1113,11 @@ where
                 .counter("ensemble.shared_misses")
                 .add(result.shared_misses);
             self.tel
-                .counter("ensemble.shared_derived")
-                .add(result.shared_derived);
-            self.tel
                 .counter("ensemble.cache_evictions")
                 .add(result.cache_evictions);
             self.tel
                 .counter("ensemble.dormant_events")
-                .add(result.dormant_events);
+                .add(self.dormant_events - dormant_before);
             self.tel
                 .counter("ensemble.recorded_events")
                 .add(events_observed);
@@ -1310,8 +1136,7 @@ where
     /// construction order) plus the cumulative `rounds` / `dormant_events`
     /// bookkeeping.  Capture only at a *pause* point — between
     /// [`EnsembleEngine::run_windows`] calls — never mid-window.  The
-    /// shared-table cache, neighbor tables and adaptivity statistics are
-    /// *not* captured: tables are pure functions of the counts, so a
+    /// shared-table cache and adaptivity statistics are *not* captured: tables are pure functions of the counts, so a
     /// restored ensemble recomputes them bit-identically (a cold cache
     /// costs wall-clock, never a diverged draw).
     pub fn capture_state(&self) -> EnsembleSnapshot
@@ -1334,7 +1159,7 @@ where
     /// [`EnsembleEngine::run_windows`] **under the same stop condition** the
     /// interrupted run used produces per-replica results bit-identical to
     /// the uninterrupted run, at every thread count (parallelism, cache
-    /// mode/capacity and telemetry are construction-time knobs — reapply
+    /// capacity and telemetry are construction-time knobs — reapply
     /// them with the usual builders; none of them affects results).
     ///
     /// # Errors
@@ -1402,6 +1227,7 @@ fn finish<E: StepEngine>(replica: &E, outcome: RunOutcome) -> RunResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::geometric_skip;
     use crate::opinion::AgentState;
 
     /// The 2-opinion USD with closed-form batching hooks.
@@ -1436,6 +1262,127 @@ mod tests {
             .map(|seed| BatchedEngine::new(Usd2, config.clone(), seed))
             .collect();
         EnsembleEngine::try_new(members).unwrap()
+    }
+
+    /// A replica type that shares (batched replicas never do): the
+    /// 2-opinion USD as a count chain whose per-counts [`Rows`] resolve
+    /// through the ensemble's map in mapped windows and are rebuilt per
+    /// event when it advances on its own.  It books events whose responder
+    /// was decided as patched rows and the rest as rebuilt rows, so
+    /// replicas carry distinct maintenance fractions.
+    #[derive(Debug)]
+    struct SharingUsd {
+        config: Configuration,
+        interactions: u64,
+        rng: rand::rngs::SmallRng,
+        stats: MaintenanceStats,
+    }
+
+    /// Productive ordered-pair weight per responder category (opinion 0,
+    /// opinion 1, undecided) and their sum.
+    #[derive(Debug)]
+    struct Rows([u64; 3], u64);
+
+    impl SharingUsd {
+        fn rows(&self) -> Rows {
+            let (a, b) = (self.config.supports()[0], self.config.supports()[1]);
+            let rows = [a * b, b * a, self.config.undecided() * (a + b)];
+            Rows(rows, rows.iter().sum())
+        }
+    }
+
+    impl StepEngine for SharingUsd {
+        fn configuration(&self) -> &Configuration {
+            &self.config
+        }
+        fn interactions(&self) -> u64 {
+            self.interactions
+        }
+        fn engine_name(&self) -> &'static str {
+            "sharing-usd"
+        }
+        fn maintenance(&self) -> Option<MaintenanceStats> {
+            Some(self.stats)
+        }
+        fn advance(&mut self, limit: u64) -> Advance {
+            if self.interactions >= limit {
+                return Advance::LimitReached;
+            }
+            let rows = self.rows();
+            self.advance_shared(&rows, limit)
+        }
+    }
+
+    impl EnsembleReplica for SharingUsd {
+        type Shared = Rows;
+
+        fn compute_shared(&self) -> Option<Result<Rows, PpError>> {
+            Some(Ok(self.rows()))
+        }
+
+        fn advance_shared(&mut self, Rows(rows, total): &Rows, limit: u64) -> Advance {
+            use rand::Rng;
+            if *total == 0 {
+                self.interactions = limit;
+                return Advance::Absorbed;
+            }
+            let n = self.config.population() as f64;
+            let p = *total as f64 / (n * n);
+            let Some(skip) = geometric_skip(&mut self.rng, p, limit - self.interactions) else {
+                self.interactions = limit;
+                return Advance::LimitReached;
+            };
+            self.interactions += skip + 1;
+            let target = self.rng.gen_range(0..*total);
+            let (from, to) = if target < rows[0] + rows[1] {
+                self.stats.rows_patched += 1;
+                let from = usize::from(target >= rows[0]);
+                (AgentState::from_category(from, 2), AgentState::Undecided)
+            } else {
+                self.stats.rows_rebuilt += 1;
+                let (a, b) = (self.config.supports()[0], self.config.supports()[1]);
+                let initiator = (target - rows[0] - rows[1]) % (a + b);
+                let to = usize::from(initiator >= a);
+                (AgentState::Undecided, AgentState::from_category(to, 2))
+            };
+            self.config.apply_move(from, to).unwrap();
+            Advance::Event
+        }
+    }
+
+    fn sharing_replicas(counts: &[u64], undecided: u64, replicas: usize) -> Vec<SharingUsd> {
+        let config = Configuration::from_counts(counts.to_vec(), undecided).unwrap();
+        EnsembleChoice::new(replicas)
+            .seeds(SimSeed::from_u64(99))
+            .into_iter()
+            .map(|seed| SharingUsd {
+                config: config.clone(),
+                interactions: 0,
+                rng: seed.rng(),
+                stats: MaintenanceStats::default(),
+            })
+            .collect()
+    }
+
+    fn sharing_ensemble(
+        counts: &[u64],
+        undecided: u64,
+        replicas: usize,
+    ) -> EnsembleEngine<SharingUsd> {
+        EnsembleEngine::try_new(sharing_replicas(counts, undecided, replicas)).unwrap()
+    }
+
+    /// Standalone runs of the replicas [`sharing_ensemble`] builds.
+    fn sharing_standalone(
+        counts: &[u64],
+        undecided: u64,
+        replicas: usize,
+        stop: StopCondition,
+    ) -> Vec<RunResult> {
+        sharing_replicas(counts, undecided, replicas)
+            .iter_mut()
+            .map(|replica| replica.run_engine(stop))
+            .collect()
     }
 
     #[test]
@@ -1487,8 +1434,8 @@ mod tests {
         // All replicas start at identical counts, so the first rounds
         // compute one table per worker at most: misses stay far below
         // lookups.
-        let mut ens = ensemble(vec![900, 100], 0, 16).with_cache_mode(SharedCacheMode::Always);
-        let outcome = ens.run(StopCondition::consensus().or_max_interactions(5_000_000));
+        let stop = StopCondition::consensus().or_max_interactions(5_000_000);
+        let outcome = sharing_ensemble(&[900, 100], 0, 16).run(stop);
         assert!(outcome.shared_hits() > 0);
         assert!(
             outcome.shared_reuse_fraction() > 0.3,
@@ -1497,47 +1444,24 @@ mod tests {
         );
         assert_eq!(outcome.cache_evictions(), 0);
         assert!(outcome.total_interactions() > 0);
-    }
-
-    #[test]
-    fn every_cache_mode_produces_identical_results() {
-        // The caching policy trades wall-clock only: all three modes must
-        // return bit-identical per-replica results.
-        let stop = StopCondition::consensus().or_max_interactions(5_000_000);
-        let reference = ensemble(vec![500, 150], 50, 5)
-            .with_cache_mode(SharedCacheMode::Always)
-            .run(stop);
-        for mode in [SharedCacheMode::Adaptive, SharedCacheMode::Never] {
-            let outcome = ensemble(vec![500, 150], 50, 5)
-                .with_cache_mode(mode)
-                .run(stop);
-            assert_eq!(outcome.results(), reference.results(), "{mode:?} diverged");
-        }
-        // The uncached mode never touches the map.
-        let never = ensemble(vec![500, 150], 50, 5)
-            .with_cache_mode(SharedCacheMode::Never)
-            .run(stop);
-        assert_eq!(never.shared_hits(), 0);
-        assert!(never.shared_misses() > 0);
+        assert_eq!(
+            outcome.results(),
+            sharing_standalone(&[900, 100], 0, 16, stop)
+        );
     }
 
     #[test]
     fn tiny_cache_capacity_still_produces_exact_results() {
-        let config = Configuration::from_counts(vec![300, 100], 0).unwrap();
         let stop = StopCondition::consensus().or_max_interactions(5_000_000);
-        let mut ens = ensemble(vec![300, 100], 0, 4)
+        let outcome = sharing_ensemble(&[300, 100], 0, 4)
             .with_cache_capacity(2)
-            .with_cache_mode(SharedCacheMode::Always);
-        let outcome = ens.run(stop);
+            .run(stop);
+        assert!(outcome.shared_hits() > 0);
         assert!(outcome.cache_evictions() > 0, "capacity 2 must evict");
-        for (i, seed) in EnsembleChoice::new(4)
-            .seeds(SimSeed::from_u64(99))
-            .into_iter()
-            .enumerate()
-        {
-            let mut standalone = BatchedEngine::new(Usd2, config.clone(), seed);
-            assert_eq!(outcome.replica(i), &standalone.run_engine(stop));
-        }
+        assert_eq!(
+            outcome.results(),
+            sharing_standalone(&[300, 100], 0, 4, stop)
+        );
     }
 
     #[test]
@@ -1609,9 +1533,10 @@ mod tests {
             .map(|r| u128::from(r.interactions()))
             .sum();
         assert_eq!(outcome.total_interactions(), total);
-        let lookups = outcome.shared_hits() + outcome.shared_misses();
-        assert!(lookups > 0);
-        assert!(outcome.shared_reuse_fraction() <= 1.0);
+        // Batched replicas never share: no lookups, every event dormant.
+        assert_eq!(outcome.shared_hits() + outcome.shared_misses(), 0);
+        assert_eq!(outcome.shared_reuse_fraction(), 0.0);
+        assert!(outcome.dormant_events() > 0);
     }
 
     /// A recorder that keeps the full observation stream, for comparing the
@@ -1640,26 +1565,35 @@ mod tests {
             })
             .collect();
         assert!(expected.iter().all(|log| log.0.len() > 1));
-        // Mapped windows (Always), dormant windows (Never) and the mix
-        // (Adaptive) must all produce the standalone observation stream,
-        // at any thread count.
-        for mode in [
-            SharedCacheMode::Always,
-            SharedCacheMode::Never,
-            SharedCacheMode::Adaptive,
-        ] {
-            for threads in [1usize, 3] {
-                let mut ens = ensemble(vec![300, 100], 20, 5)
-                    .with_cache_mode(mode)
-                    .with_parallelism(Parallelism::fixed(threads));
-                let mut recorders = vec![Log::default(); 5];
-                let outcome = ens.run_recorded(stop, &mut recorders);
-                assert!(outcome.all_reached_goal());
-                assert_eq!(
-                    recorders, expected,
-                    "{mode:?} at {threads} threads diverged"
-                );
-            }
+        let sharing_expected: Vec<Log> = sharing_replicas(&[300, 100], 20, 5)
+            .iter_mut()
+            .map(|replica| {
+                let mut log = Log::default();
+                replica.run_engine_recorded(stop, &mut log);
+                log
+            })
+            .collect();
+        // Dormant windows (batched replicas) and mapped windows (a sharing
+        // replica type) must both produce the standalone observation
+        // stream, at any thread count.
+        for threads in [1usize, 3] {
+            let mut ens =
+                ensemble(vec![300, 100], 20, 5).with_parallelism(Parallelism::fixed(threads));
+            let mut recorders = vec![Log::default(); 5];
+            let outcome = ens.run_recorded(stop, &mut recorders);
+            assert!(outcome.all_reached_goal());
+            assert_eq!(recorders, expected, "dormant at {threads} threads diverged");
+
+            let mut ens =
+                sharing_ensemble(&[300, 100], 20, 5).with_parallelism(Parallelism::fixed(threads));
+            let mut recorders = vec![Log::default(); 5];
+            let outcome = ens.run_recorded(stop, &mut recorders);
+            assert!(outcome.all_reached_goal());
+            assert!(outcome.shared_hits() > 0);
+            assert_eq!(
+                recorders, sharing_expected,
+                "mapped at {threads} threads diverged"
+            );
         }
     }
 
@@ -1679,11 +1613,11 @@ mod tests {
     #[test]
     fn telemetry_records_window_spans_without_changing_results() {
         let stop = StopCondition::consensus().or_max_interactions(5_000_000);
-        let silent = ensemble(vec![400, 100], 30, 6)
+        let silent = sharing_ensemble(&[400, 100], 30, 6)
             .with_parallelism(Parallelism::fixed(2))
             .run(stop);
         let tel = Telemetry::enabled();
-        let mut ens = ensemble(vec![400, 100], 30, 6).with_parallelism(Parallelism::fixed(2));
+        let mut ens = sharing_ensemble(&[400, 100], 30, 6).with_parallelism(Parallelism::fixed(2));
         ens.set_telemetry(tel.clone());
         let traced = ens.run(stop);
         // Attaching telemetry must not perturb a single replica.
@@ -1703,33 +1637,44 @@ mod tests {
         assert_eq!(snap.counter("ensemble.rounds"), Some(traced.rounds()));
         assert!(snap.counter("ensemble.recorded_events").unwrap() > 0);
         assert_eq!(snap.gauge("ensemble.replicas"), Some(6.0));
+
+        // Batched replicas run dormant windows only, on worker tracks too.
+        let tel = Telemetry::enabled();
+        let mut ens = ensemble(vec![400, 100], 30, 6).with_parallelism(Parallelism::fixed(2));
+        ens.set_telemetry(tel.clone());
+        ens.run(stop);
+        let spans = tel.spans();
+        assert!(spans
+            .iter()
+            .any(|s| s.name == "ensemble.dormant" && s.tid >= 1));
+        assert!(!spans.iter().any(|s| s.name == "ensemble.mapped"));
+        crate::telemetry::check_span_nesting(&spans).expect("window spans must nest");
     }
 
     #[test]
     fn metrics_snapshot_aggregates_replica_counters() {
-        let mut ens = ensemble(vec![500, 100], 0, 4).with_cache_mode(SharedCacheMode::Always);
+        let mut ens = sharing_ensemble(&[500, 100], 0, 4);
         let outcome = ens.run(StopCondition::consensus().or_max_interactions(5_000_000));
         let snap = outcome.metrics_snapshot();
+        assert!(outcome.shared_hits() > 0);
         assert_eq!(
             snap.counter("ensemble.shared_hits"),
             Some(outcome.shared_hits())
         );
-        assert_eq!(snap.counter("ensemble.dormant_events"), Some(0));
+        assert_eq!(
+            snap.counter("ensemble.dormant_events"),
+            Some(outcome.dormant_events())
+        );
         assert_eq!(snap.gauge("ensemble.replicas"), Some(4.0));
         // Replica engine counters fold in under the canonical names.
-        let drawn = snap.counter("batched.events_drawn").unwrap();
-        assert!(drawn > 0);
-        let total_events: u64 = outcome
+        let patched = snap.counter("maintenance.rows_patched").unwrap();
+        assert!(patched > 0);
+        let total_patched: u64 = outcome
             .results()
             .iter()
-            .map(|r| {
-                r.telemetry()
-                    .unwrap()
-                    .counter("batched.events_drawn")
-                    .unwrap()
-            })
+            .map(|r| r.maintenance().unwrap().rows_patched)
             .sum();
-        assert_eq!(drawn, total_events);
+        assert_eq!(patched, total_patched);
         // Fraction gauges are recomputed from the aggregate, not absorbed.
         let agg: MaintenanceStats =
             outcome
@@ -1815,13 +1760,13 @@ mod tests {
     #[test]
     fn ensemble_engines_and_shared_tables_cross_threads() {
         // The parallel path moves replicas to workers and shares tables
-        // behind Arcs: pin the auto-trait obligations so a regression (an
+        // behind Arcs (the batched table type is uninhabited): pin the auto-trait obligations so a regression (an
         // Rc or RefCell sneaking back into the shared state) fails here,
         // not in a consumer crate.
         fn assert_send<T: Send>() {}
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send::<BatchedEngine<Usd2>>();
-        assert_send_sync::<RowTable>();
+        assert_send_sync::<Arc<Unshared>>();
         assert_send_sync::<Parallelism>();
         assert_send_sync::<EnsembleChoice>();
     }

@@ -42,11 +42,12 @@
 //!
 //! Monte Carlo estimates over many independent runs go through the
 //! [`ensemble::EnsembleEngine`], which advances `R` replicas of one
-//! protocol/configuration in lockstep rounds: per-counts tables (row
-//! weights, activation laws) are computed once and shared across replicas
-//! whose counts coincide through an [`std::sync::Arc`]-shared map that
-//! freezes per scheduling window, and the live replicas spread over the
-//! worker threads of the shared [`parallel`] layer.  Per-replica RNG
+//! protocol/configuration in scheduling windows over the worker threads of
+//! the shared [`parallel`] layer.  Replica types whose per-counts tables
+//! are dear (the sampling dynamics' activation laws) compute each table
+//! once and share it across replicas whose counts coincide, through an
+//! [`std::sync::Arc`]-shared map that freezes per window; batched replicas
+//! never share and advance through their own `advance`.  Per-replica RNG
 //! streams and the layer's deterministic partition keep every replica
 //! *bit-identical* to a standalone same-seed run at every thread count —
 //! see [`ensemble`] for the exactness argument.
@@ -133,9 +134,7 @@ pub use checkpoint::{
 pub use config::Configuration;
 pub use count_sim::CountSimulator;
 pub use engine::{Advance, BatchedEngine, CountEngine, EngineChoice, ExactEngine, StepEngine};
-pub use ensemble::{
-    EnsembleChoice, EnsembleEngine, EnsembleReplica, EnsembleRunResult, SharedCacheMode,
-};
+pub use ensemble::{EnsembleChoice, EnsembleEngine, EnsembleReplica, EnsembleRunResult};
 pub use error::{ConfigError, PpError};
 pub use fenwick::FenwickTree;
 pub use hybrid::{Fidelity, FidelityConfig, FidelityController, FidelitySignal};
@@ -159,9 +158,7 @@ pub mod prelude {
     pub use crate::engine::{
         Advance, BatchedEngine, CountEngine, EngineChoice, ExactEngine, StepEngine,
     };
-    pub use crate::ensemble::{
-        EnsembleChoice, EnsembleEngine, EnsembleReplica, EnsembleRunResult, SharedCacheMode,
-    };
+    pub use crate::ensemble::{EnsembleChoice, EnsembleEngine, EnsembleReplica, EnsembleRunResult};
     pub use crate::error::{ConfigError, PpError};
     pub use crate::hybrid::{Fidelity, FidelityConfig, FidelityController, FidelitySignal};
     pub use crate::opinion::{AgentState, Opinion};

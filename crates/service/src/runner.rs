@@ -23,8 +23,8 @@
 //! ## Pauses and interrupts
 //!
 //! Without an interrupt hook or a progress sink a run is driven in one
-//! call, so an ensemble's `rounds` and shared-cache statistics cover the
-//! whole run.  With either hook, single USD runs pause cooperatively
+//! call, so an ensemble's shared-cache statistics cover the whole run
+//! (its `rounds` always do).  With either hook, single USD runs pause cooperatively
 //! between `advance` calls (the checkpoint-exact boundary) via
 //! `UsdSimulator::run_interruptible`; replica ensembles pause between
 //! lockstep windows via `UsdEnsemble::run_windows`; single sampling-dynamic

@@ -12,7 +12,9 @@
 //!   all five sampling dynamics (Voter, TwoChoices, 3-Majority, j-Majority,
 //!   MedianRule through [`SequentialSampler`]), ensemble results are
 //!   compared `==` against standalone same-seed runs, including full
-//!   recorded trajectories for the USD, under every [`SharedCacheMode`].
+//!   recorded trajectories for the USD, whose batched replicas never share
+//!   tables and so take no mapped window (the sampling dynamics share
+//!   activation laws under the adaptive policy, at every cache capacity).
 //! * **Thread-count invariance** — the parallel worker pool
 //!   (`pp_core::parallel`) must be a pure wall-clock dial: `threads = 1`
 //!   and `threads = T` runs are compared `==` per replica for the USD and
@@ -36,7 +38,7 @@ use consensus_dynamics::{
 };
 use pp_analysis::conformance::Conformance;
 use pp_core::engine::StepEngine;
-use pp_core::ensemble::{EnsembleChoice, EnsembleEngine, SharedCacheMode};
+use pp_core::ensemble::{EnsembleChoice, EnsembleEngine};
 use pp_core::parallel::Parallelism;
 use pp_core::{
     BatchedEngine, Configuration, EngineChoice, PpError, RunResult, SimSeed, StopCondition,
@@ -251,23 +253,44 @@ fn cache_modes_and_capacities_never_change_results() {
         .into_iter()
         .map(|seed| standalone_sampler(&dynamics, &config, seed, 5_000_000))
         .collect();
-    for mode in [
-        SharedCacheMode::Adaptive,
-        SharedCacheMode::Always,
-        SharedCacheMode::Never,
-    ] {
-        for capacity in [2usize, 1 << 20] {
-            let mut ensemble = sampler_ensemble(&dynamics, &config, master, EnsembleChoice::new(4))
-                .unwrap()
-                .with_cache_mode(mode)
-                .with_cache_capacity(capacity);
-            let outcome = ensemble.run(stop(5_000_000));
-            assert_eq!(
-                outcome.results(),
-                &reference[..],
-                "{mode:?}/capacity {capacity} diverged"
-            );
-        }
+    for capacity in [2usize, 1 << 20] {
+        let mut ensemble = sampler_ensemble(&dynamics, &config, master, EnsembleChoice::new(4))
+            .unwrap()
+            .with_cache_capacity(capacity);
+        let outcome = ensemble.run(stop(5_000_000));
+        assert_eq!(
+            outcome.results(),
+            &reference[..],
+            "capacity {capacity} diverged"
+        );
+    }
+}
+
+#[test]
+fn usd_ensembles_take_no_mapped_window() {
+    // Batched replicas never share a table: every event of a USD ensemble
+    // is advanced through the replica's own `advance` in a dormant window,
+    // and nothing is looked up in the counts-keyed map.
+    let config = Configuration::from_counts(vec![1_200, 500, 300], 0).unwrap();
+    let master = SimSeed::from_u64(MASTER ^ 3);
+    for threads in [1usize, 2] {
+        let choice = EnsembleChoice::new(6).threads(threads);
+        let outcome = UsdEnsemble::try_new(config.clone(), master, choice)
+            .unwrap()
+            .run(stop(50_000_000));
+        assert!(outcome.all_reached_goal());
+        assert_eq!(outcome.shared_hits(), 0, "threads = {threads}");
+        let drawn: u64 = outcome
+            .results()
+            .iter()
+            .map(|r| {
+                r.telemetry()
+                    .and_then(|t| t.counter("batched.events_drawn"))
+                    .expect("batched replicas count their events")
+            })
+            .sum();
+        assert!(drawn > 0);
+        assert_eq!(outcome.dormant_events(), drawn, "threads = {threads}");
     }
 }
 
