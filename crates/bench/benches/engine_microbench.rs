@@ -380,13 +380,18 @@ fn ensemble_lockstep_comparison(c: &mut Criterion) {
 }
 
 /// The incremental-maintenance acceptance benchmark (E13): full consensus
-/// runs with the `O(delta)` patch paths on vs off, everything else equal.
+/// runs with the incremental paths on vs off, everything else equal.
 ///
-/// * `incremental_rows_usd` — the batched USD engine at n = 10⁶, k = 8,
-///   where the per-event work without patching is the `O(k)` row refill plus
-///   the alias/CDF rebuild over it.  Patching must never lose ground
-///   (acceptance: ≥ 0.95× the rebuild arm) and typically wins modestly,
-///   because the row table is small but the rebuild runs on *every* event.
+/// * `incremental_rows_usd` — the batched USD engine at n = 10⁶, k = 8.
+///   The `rebuild` arm refills all `k + 1` rows (one protocol hook call
+///   each) before every event and resolves the initiator with protocol
+///   calls.  The `patched` arm is the closed-form kernel: `D` and `Σx²` are
+///   running sums, the total is `n·D − Σx²`, rows are computed only while
+///   the draw scans them, and a decided USD responder skips the initiator
+///   scan.  Acceptance: ≥ 0.95× the rebuild arm; it wins ~1.6×.  The
+///   ratio is below the old table patch's ~2× only because the rebuild
+///   arm got cheaper too (rows only, no per-row initiator sums): the
+///   patched arm itself runs ~1.7× faster than the table patch did.
 /// * `incremental_laws_3majority` — the sequential sampler at n = 10⁶,
 ///   k = 8, where the per-event work without patching is the fresh
 ///   `O(k²·j³)` integer adoption DP.  The patch replaces it with a

@@ -5,7 +5,7 @@
 //! in scheduling windows spread over the worker pool, with every replica
 //! bit-identical to a standalone [`crate::UsdSimulator`] run on the batched
 //! backend with seed `master.child(i)`.  Batched replicas never share
-//! tables (each patches its own `O(k)` row table per event), so every
+//! tables (each keeps its own rows in `O(1)` per event), so every
 //! window advances each live replica through its own `advance`.
 
 use crate::protocol::UndecidedStateDynamics;

@@ -22,7 +22,7 @@
 //!   recommended policy steps Phase 1 exactly and batches the null-dominated
 //!   Phases 2–5.  For Monte Carlo estimates over many runs,
 //!   [`UsdEnsemble`] ([`UsdSimulator::ensemble`]) advances `R` batched
-//!   replicas in lockstep with counts-deduplicated row tables, each replica
+//!   replicas in lockstep windows over the worker pool, each replica
 //!   bit-identical to a standalone same-seed run.
 //! * [`phases`] — the five-phase structure of the paper's analysis
 //!   (Section 2.1) with a [`phases::PhaseTracker`] that measures the hitting

@@ -82,11 +82,12 @@ impl OpinionProtocol for UndecidedStateDynamics {
         "undecided state dynamics"
     }
 
-    /// Closed form for the USD's null pairs, enabling `O(k)`-per-event
-    /// batching (see [`pp_core::BatchedEngine`]).  Productive ordered pairs
-    /// are exactly the discordant decided pairs (`Σ_{a≠b} x_a·x_b =
-    /// d² − Σ x_a²`, with `d` the decided count) plus the undecided-adopts
-    /// pairs (`u·d`); everything else is null.
+    /// Closed form for the USD's null pairs (the batched engine's debug
+    /// cross-check compares it against enumeration; its event kernel uses
+    /// the same identity, see [`pp_core::BatchedEngine`]).  Productive
+    /// ordered pairs are exactly the discordant decided pairs
+    /// (`Σ_{a≠b} x_a·x_b = d² − Σ x_a²`, with `d` the decided count) plus
+    /// the undecided-adopts pairs (`u·d`); everything else is null.
     fn null_interaction_weight(&self, config: &Configuration) -> Option<u128> {
         let n = u128::from(config.population());
         let d = u128::from(config.decided());

@@ -52,15 +52,18 @@ impl SamplingWorkload {
     }
 }
 
-/// An incremental-maintenance cell, swept with the `O(delta)` patch path on
+/// An incremental-maintenance cell, swept with the incremental path on
 /// (`incremental`) vs off (`rebuild`, the per-event from-scratch reference).
 /// Both arms are bit-identical trajectories (pinned by
 /// `tests/incremental_equivalence.rs`), so the speedup column is purely the
 /// maintenance saving.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MaintenanceWorkload {
-    /// Batched USD engine: the per-event productive-row refill and weight
-    /// resummation vs the `(from, to)` delta patch.
+    /// Batched USD engine: the per-event rebuild of the `k + 1` productive
+    /// rows (one protocol hook call each, then a resummation) vs the
+    /// closed-form kernel, which keeps `D` and `Σx²` as running sums, reads
+    /// the total as `n·D − Σx²` and computes rows `x_i·(D − x_i)` and `u·D`
+    /// only while the event draw scans them.
     UsdRows,
     /// 3-Majority through the sequential sampler: the per-event `O(k²·j³)`
     /// integer adoption DP vs the single-category `O(k·j³)` patch.
@@ -611,7 +614,7 @@ impl EngineThroughputExperiment {
             "sampling-dynamics rows (3-majority, median-rule) compare per-activation stepping against the geometric skip-ahead with closed-form conditional samplers; rejection misses are asserted to be exactly 0, and the batched rows are stamped as E13/<dynamic> entries so the CI trend gate guards them like the USD engines".to_string(),
         );
         report.push_note(
-            "maintenance rows (usd-rows, 3-majority-laws) compare per-event from-scratch row-table / activation-law rebuilds against the O(delta) incremental patch path on otherwise identical (bit-exact) runs; the incremental rows are stamped as E13/<workload> entries and regression-gated by the trend check".to_string(),
+            "maintenance rows (usd-rows, 3-majority-laws) compare per-event from-scratch row-table / activation-law rebuilds against the incremental path (the batched USD's O(1) closed-form kernel over n*D - sum x^2, the 3-Majority's O(delta) law patch) on otherwise identical (bit-exact) runs; the incremental rows are stamped as E13/<workload> entries and regression-gated by the trend check".to_string(),
         );
         report.push_note(
             "telemetry rows compare the batched deep-bias run with the metrics registry detached vs live on bit-identical trajectories; the telemetry-on speedup is the observability overhead (budget: within 5% of telemetry-off), and each entry is stamped with the run's counter snapshot".to_string(),

@@ -22,10 +22,11 @@
 //! dynamic program entirely, so the ensemble's edge grows with the
 //! shared-table reuse fraction (well above 90% in the effectively
 //! one-dimensional two-opinion regime).  The USD rows share nothing:
-//! batched replicas patch their own `O(k)` row table per event, which no
-//! counts-keyed lookup beats, so every window advances each replica through
-//! its own `advance` (reuse 0) and the single-threaded ensemble column
-//! measures the window scheduling overhead against the plain loop.
+//! batched replicas keep their rows in `O(1)` per event (the closed-form
+//! kernel), which no counts-keyed lookup beats, so every window advances
+//! each replica through its own `advance` (reuse 0) and the single-threaded
+//! ensemble column measures the window scheduling overhead against the
+//! plain loop.
 //!
 //! Each cell runs three arms over the identical replica set: the
 //! `replica-loop` baseline, the single-threaded `ensemble` (threads pinned
@@ -403,7 +404,7 @@ impl EnsembleThroughputExperiment {
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         ));
         report.push_note(
-            "the ensemble's edge tracks the shared-table reuse fraction and the per-counts table cost: largest for the j-majority family (O(k²j³) adoption law skipped on every cache hit); USD replicas share nothing (each patches its own O(k) row table), so their single-threaded ensemble pays only window scheduling over the loop".to_string(),
+            "the ensemble's edge tracks the shared-table reuse fraction and the per-counts table cost: largest for the j-majority family (O(k²j³) adoption law skipped on every cache hit); USD replicas share nothing (each keeps its own rows in O(1) per event), so their single-threaded ensemble pays only window scheduling over the loop".to_string(),
         );
         report.push_note(
             "CI95 column: half-width of the normal-approximation confidence interval of the mean hitting time, from the streaming Welford accumulator — identical across arms by bit-exactness".to_string(),

@@ -43,11 +43,11 @@
 //! Not captured, because each is a pure function of the captured state and
 //! is rebuilt deterministically on restore:
 //!
-//! * the batched engine's maintained row table (`rows`/`sums`/`total`) —
-//!   rebuilt from the counts at the first event after restore, bit-identical
-//!   to the maintained table (the restored run may therefore report **one
-//!   extra `rows_rebuilt`** per engine than the uninterrupted run; result
-//!   equality ignores maintenance bookkeeping),
+//! * the batched engine's maintained row state (the closed-form running
+//!   sums, or the row table) — rebuilt from the counts at the first event
+//!   after restore, bit-identical to the maintained state (the restored run
+//!   may therefore report **one extra `rows_rebuilt`** per engine than the
+//!   uninterrupted run; result equality ignores maintenance bookkeeping),
 //! * the exact engine's Fenwick tree (rebuilt from the counts),
 //! * the sharded engine's merged configuration, pair weights, and per-epoch
 //!   quota/scratch buffers (dead between `advance` calls — captures land on

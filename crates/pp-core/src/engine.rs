@@ -26,43 +26,54 @@
 //! * `MeanFieldEngine` (in `usd-core`) — the deterministic ODE limit lifted
 //!   behind the same trait for instant large-`n` approximation.
 //!
-//! Protocols opt into fast batching by overriding
-//! [`OpinionProtocol::null_interaction_weight`] and
-//! [`OpinionProtocol::productive_responder_weight`]; without the overrides
-//! the batched engine falls back to exact `O(k²)`-per-event enumeration, so
-//! the refactor is incremental per protocol.
+//! Protocols with the USD's productivity shape get the batched engine's
+//! `O(1)` closed-form kernel (below) without overriding anything.  Other
+//! protocols opt into faster batching by overriding
+//! [`OpinionProtocol::productive_responder_weight`]; without the override
+//! the batched engine falls back to exact `O(k²)`-per-event enumeration.
 //!
 //! # Incremental row maintenance
 //!
-//! On top of the hooks, [`BatchedEngine`] maintains its row table *across*
-//! events instead of recomputing it before each one.  The invariants:
+//! The batched engine's per-event work is the productive weight `W` and the
+//! per-responder-category rows it is drawn from.  For the USD these have a
+//! closed form, and [`BatchedEngine`] keeps them in `O(1)` per event:
 //!
-//! * Productivity is a pure function of the (responder, initiator) category
-//!   pair ([`OpinionProtocol::productivity_matrix`]), so each row factors as
-//!   `row_cat = c_cat · S_cat` with `S_cat` the count-weighted sum of
-//!   productive initiator categories.
-//! * A state-changing event moves exactly one agent `from → to`; every
-//!   `S_cat` shifts by `[matrix[cat][to]] − [matrix[cat][from]]`, and the
-//!   table is re-derived as `c_cat · S_cat` — `O(k)` exact integer adds per
-//!   event, no protocol calls.
-//! * All weights are exact integers, so the patched table is
-//!   **bit-identical** to a full rebuild: trajectories do not depend on
-//!   whether maintenance was on.  `S_cat` is a `u64` (it counts agents, so
-//!   `S_cat ≤ n`), while rows and their total are `u128` (each is at most
-//!   `n²`): a patch costs one 64×64→128-bit widening multiply per row.
-//! * The event draw reads `S_r` of the drawn responder category from the
-//!   table instead of dividing `row_r` by `c_r`, and reduces its target
-//!   modulo `S_r` in 64 bits; only populations beyond 2³² agents, whose
-//!   weights outgrow `u64`, take the 128-bit bounded draw and remainder.
+//! * **Derivation.**  Write `x_i` for the supports, `D = Σ x_i` for the
+//!   decided agents, `u = n − D` and `Q = Σ x_i²`.  The USD's productive
+//!   ordered pairs are decided pairs of different opinions,
+//!   `Σ_{i≠j} x_i·x_j = D² − Q`, and undecided-adopts pairs, `u·D`.  So
+//!   `W = D² − Q + (n − D)·D = n·D − Q`; the decided row `i` is
+//!   `x_i·(D − x_i)` and the undecided row is `u·D`.  One event moves one
+//!   agent, so `D` changes by at most 1 and `Q` by `±(2x ± 1)`: both are
+//!   running sums updated in `O(1)`.  Rows are computed only while the
+//!   event draw scans them, in category order, and the draw stops at the
+//!   responder's row.
+//! * **Which protocols qualify.**  The engine reads
+//!   [`OpinionProtocol::productivity_matrix`] once, at construction.  The
+//!   closed form runs when `m[r][i] == (i < k && i != r)`: productive
+//!   exactly when the initiator is decided and in another category.  The
+//!   USD and `PairwiseVoter` both have this shape; they differ only in the
+//!   responder's new state, which the kernel asks `respond` for.  When
+//!   every productive initiator gives a responder category the same new
+//!   state (a decided USD agent always becomes undecided), found once at
+//!   construction, the draw skips the initiator scan.
+//! * **Fallback.**  Every other matrix, a protocol that returns `None`, and
+//!   [`BatchedEngine::set_incremental_rows`]`(false)` (the rebuild
+//!   reference of the benchmarks and equivalence tests) rebuild the full
+//!   row table from the protocol hooks, or by enumeration, before every
+//!   event.  So do the first event and the first one after external count
+//!   edits (the shard reconciler's cross-shard updates).
+//! * **Bit-identity.**  All weights are exact integers and both paths scan
+//!   the same rows in the same order with the same random unit, so
+//!   trajectories do not depend on the path taken.  Weights are `u64`
+//!   whenever `n²` fits (`n < 2³²`) and `u128` beyond that; the draw and
+//!   the initiator remainder follow the same boundary.
 //!
-//! The engine falls back to a full rebuild when the protocol opts out of the
-//! matrix, when maintenance is disabled via
-//! [`BatchedEngine::set_incremental_rows`] (the benchmark baseline), and
-//! after external count edits (the shard reconciler's cross-shard updates
-//! invalidate the maintained state).  Patch/rebuild counts are reported
-//! through [`StepEngine::maintenance`] into [`RunResult`].  Debug builds
-//! cross-check a sample (every 64th refresh) of tables against direct
-//! enumeration; the `exhaustive-checks` feature checks every refresh.
+//! Patch/rebuild counts are reported through [`StepEngine::maintenance`]
+//! into [`RunResult`]: an `O(1)` update counts as a patched row state.
+//! Debug builds cross-check a sample (every 64th refresh) of the running
+//! sums, rows and total against direct enumeration; the
+//! `exhaustive-checks` feature checks every refresh.
 //!
 //! # Example
 //!
@@ -105,6 +116,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::{Mul, Rem, Sub, SubAssign};
 use std::str::FromStr;
 
 /// Which stepping backend a consumer wants.
@@ -388,15 +400,7 @@ impl<P: OpinionProtocol> StepEngine for CountSimulator<P> {
 pub fn uniform_u128_below<R: Rng + ?Sized>(rng: &mut R, bound: u128) -> u128 {
     debug_assert!(bound > 0);
     if let Ok(b) = u64::try_from(bound) {
-        // Lemire's multiply-shift with rejection of the biased overhang.
-        let mut m = u128::from(rng.next_u64()) * u128::from(b);
-        if (m as u64) < b {
-            let t = b.wrapping_neg() % b;
-            while (m as u64) < t {
-                m = u128::from(rng.next_u64()) * u128::from(b);
-            }
-        }
-        return m >> 64;
+        return u128::from(uniform_u64_below(rng, b));
     }
     // 2^128 mod bound: values below this threshold are the biased overhang.
     let threshold = bound.wrapping_neg() % bound;
@@ -406,6 +410,19 @@ pub fn uniform_u128_below<R: Rng + ?Sized>(rng: &mut R, bound: u128) -> u128 {
             return x % bound;
         }
     }
+}
+
+/// The 64-bit path of [`uniform_u128_below`]: Lemire's multiply-shift
+/// with rejection of the biased overhang.
+fn uniform_u64_below<R: Rng + ?Sized>(rng: &mut R, bound: u64) -> u64 {
+    let mut m = u128::from(rng.next_u64()) * u128::from(bound);
+    if (m as u64) < bound {
+        let t = bound.wrapping_neg() % bound;
+        while (m as u64) < t {
+            m = u128::from(rng.next_u64()) * u128::from(bound);
+        }
+    }
+    (m >> 64) as u64
 }
 
 /// Samples the geometrically distributed number of null interactions
@@ -445,31 +462,27 @@ pub fn geometric_skip<R: Rng + ?Sized>(rng: &mut R, p: f64, max_skip: u64) -> Op
 /// interaction count) have the same law as under [`ExactEngine`] — this is
 /// verified statistically in the test suite.
 ///
-/// Cost: `O(k)` exact integer adds per state-changing event while the
-/// incremental delta rule holds (see the module docs) — with *no* protocol
-/// calls on the hot path; `O(k)` hook calls or `O(k²)` enumeration per
-/// rebuild otherwise — but never proportional to the number of skipped null
-/// interactions.
+/// Cost per state-changing event, for protocols with the USD's
+/// productivity shape (see the module docs): `O(1)` upkeep, an early-exit
+/// `O(k)` row scan and at most one protocol call.  Other protocols pay
+/// `O(k)` hook calls or `O(k²)` enumeration per event.  Never proportional
+/// to the number of skipped null interactions.
 #[derive(Debug)]
 pub struct BatchedEngine<P> {
     protocol: P,
     config: Configuration,
     interactions: u64,
     rng: SmallRng,
-    /// Productive weight per responder category (`row_cat = c_cat · S_cat`),
-    /// maintained across events while `rows_valid`.
+    /// The closed-form kernel, when the protocol's productivity matrix has
+    /// the USD shape (`None`: every event draws from a rebuilt table).
+    kernel: Option<ClosedForm>,
+    /// Productive weight per responder category, rebuilt before each event
+    /// the closed form does not draw.
     rows: Vec<u128>,
-    /// The per-category productive initiator sums `S_cat` behind `rows`
-    /// (`S_cat ≤ n`, so `u64`); meaningful only while `rows_valid`.
-    sums: Vec<u64>,
-    /// Cached `Σ rows`, meaningful only while `rows_valid`.
-    total: u128,
-    /// Whether `rows`/`sums`/`total` describe the current counts.
-    rows_valid: bool,
-    /// Flat `(k+1)²` productivity table (`None`: protocol opted out of the
-    /// delta rule, every event rebuilds).
-    matrix: Option<Vec<bool>>,
-    /// Runtime switch for the delta rule (off = the benchmark baseline).
+    /// Whether the running sums (closed form) or `rows` (table path)
+    /// describe the current counts.
+    valid: bool,
+    /// Runtime switch for the closed form (off = the rebuild reference).
     incremental: bool,
     /// Refreshes served so far, for the sampled debug cross-check.
     refreshes: u64,
@@ -479,6 +492,114 @@ pub struct BatchedEngine<P> {
     /// Null interactions jumped over by geometric skips (and limit
     /// forwarding) so far.
     nulls_skipped: u64,
+}
+
+/// The closed-form event kernel's state: the two running sums every row is
+/// derived from, and what construction learned from `respond`.
+#[derive(Debug)]
+struct ClosedForm {
+    /// `D`, the number of decided agents.
+    decided: u64,
+    /// `Q = Σ x_i²`.
+    sum_sq: u128,
+    /// Whether `n²` fits `u64`, so every weight and draw does.
+    narrow: bool,
+    /// Per responder category, the state every productive initiator moves
+    /// it to when that state is the same for all of them (a decided USD
+    /// agent always becomes undecided); such draws skip the initiator scan.
+    fixed: Vec<Option<AgentState>>,
+}
+
+impl ClosedForm {
+    /// The kernel for `protocol` if `matrix` says "productive ⇔ the
+    /// initiator is decided and in another category", else `None`.
+    fn detect<P: OpinionProtocol>(protocol: &P, matrix: &[bool], k: usize) -> Option<Self> {
+        let usd_shaped =
+            (0..=k).all(|r| (0..=k).all(|i| matrix[r * (k + 1) + i] == (i < k && i != r)));
+        if !usd_shaped {
+            return None;
+        }
+        let fixed = (0..=k)
+            .map(|r| {
+                let responder = AgentState::from_category(r, k);
+                let mut outcomes = (0..k)
+                    .filter(|&i| i != r)
+                    .map(|i| protocol.respond(responder, AgentState::decided(i)));
+                let first = outcomes.next()?;
+                outcomes.all(|o| o == first).then_some(first)
+            })
+            .collect();
+        Some(ClosedForm {
+            decided: 0,
+            sum_sq: 0,
+            narrow: false,
+            fixed,
+        })
+    }
+
+    /// Re-derives the running sums from the counts.
+    fn reset(&mut self, config: &Configuration) {
+        let n = config.population();
+        self.decided = config.decided();
+        self.sum_sq = config.sum_of_squares();
+        self.narrow = n.checked_mul(n).is_some();
+    }
+
+    /// The productive weight `n·D − Q`.
+    fn total(&self, n: u64) -> u128 {
+        u128::from(n) * u128::from(self.decided) - self.sum_sq
+    }
+
+    /// Moves the sums across one agent's `from → to` move, which `config`
+    /// already reflects: `x² − (x − 1)² = 2x − 1`.
+    fn apply(&mut self, config: &Configuration, from: AgentState, to: AgentState) {
+        if let AgentState::Decided(a) = from {
+            self.sum_sq -= u128::from(2 * config.support(a.index()) + 1);
+            self.decided -= 1;
+        }
+        if let AgentState::Decided(b) = to {
+            self.sum_sq += u128::from(2 * config.support(b.index()) - 1);
+            self.decided += 1;
+        }
+    }
+
+    /// The rows `x_i·(D − x_i)` and `u·D`, for the debug cross-check.
+    #[cfg(any(debug_assertions, feature = "exhaustive-checks"))]
+    fn rows(&self, config: &Configuration) -> Vec<u128> {
+        let d = u128::from(self.decided);
+        let mut rows: Vec<u128> = config
+            .supports()
+            .iter()
+            .map(|&x| u128::from(x) * (d - u128::from(x)))
+            .collect();
+        rows.push(u128::from(config.undecided()) * d);
+        rows
+    }
+}
+
+/// Locates a unit `target < n·D − Q` of the closed-form row table: scans
+/// the rows `x_i·(D − x_i)`, then `u·D`, in category order, and returns the
+/// responder category with the initiator unit `target mod S_r`, where
+/// `S_r = D − x_r` for a decided responder and `D` for an undecided one.
+/// `W` is `u64` while `n²` fits it and `u128` beyond.
+fn locate_responder<W>(supports: &[u64], decided: u64, mut target: W) -> (usize, u64)
+where
+    W: Copy + Ord + From<u64> + Into<u128> + Sub<Output = W> + SubAssign,
+    W: Mul<Output = W> + Rem<Output = W>,
+{
+    // The remainder is below `S_r ≤ n`, so it fits `u64`.
+    let unit = |w: W| w.into() as u64;
+    let d = W::from(decided);
+    for (cat, &x) in supports.iter().enumerate() {
+        let x = W::from(x);
+        let s = d - x;
+        let row = x * s;
+        if target < row {
+            return (cat, unit(target % s));
+        }
+        target -= row;
+    }
+    (supports.len(), unit(target % d))
 }
 
 impl<P: OpinionProtocol> BatchedEngine<P> {
@@ -508,24 +629,22 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
             });
         }
         let k = config.num_opinions();
-        let matrix = protocol.productivity_matrix();
-        if let Some(m) = &matrix {
+        let kernel = protocol.productivity_matrix().and_then(|m| {
             assert_eq!(
                 m.len(),
                 (k + 1) * (k + 1),
                 "productivity_matrix must be a flat (k+1)² table"
             );
-        }
+            ClosedForm::detect(&protocol, &m, k)
+        });
         Ok(BatchedEngine {
             protocol,
             config,
             interactions: 0,
             rng: seed.rng(),
+            kernel,
             rows: vec![0; k + 1],
-            sums: vec![0; k + 1],
-            total: 0,
-            rows_valid: false,
-            matrix,
+            valid: false,
             incremental: true,
             refreshes: 0,
             stats: MaintenanceStats::default(),
@@ -534,15 +653,13 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
         })
     }
 
-    /// Enables or disables incremental row maintenance at runtime.  Disabled,
-    /// the engine rebuilds the full row table before every event — exactly
-    /// the pre-incremental behaviour, used as the measured baseline by
-    /// `engine_microbench`.  Trajectories are bit-identical either way.
+    /// Enables or disables the closed-form kernel at runtime.  Disabled, the
+    /// engine rebuilds the full row table before every event — the measured
+    /// baseline of `engine_microbench` and the reference the equivalence
+    /// tests compare against.  Trajectories are bit-identical either way.
     pub fn set_incremental_rows(&mut self, enabled: bool) {
         self.incremental = enabled;
-        if !enabled {
-            self.rows_valid = false;
-        }
+        self.valid = false;
     }
 
     /// The engine's patch/rebuild counters so far.
@@ -566,10 +683,10 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
     /// Simultaneous access to the protocol and the mutable configuration —
     /// the shard reconciler applies cross-shard responder updates directly to
     /// a shard's counts (without advancing the local interaction counter).
-    /// Handing out the mutable configuration invalidates the maintained row
-    /// table: the next event rebuilds from the edited counts.
+    /// Handing out the mutable configuration invalidates the maintained
+    /// state: the next event rebuilds from the edited counts.
     pub(crate) fn parts_mut(&mut self) -> (&P, &mut Configuration) {
-        self.rows_valid = false;
+        self.valid = false;
         (&self.protocol, &mut self.config)
     }
 
@@ -583,44 +700,9 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
         crate::shard::reconcile::productive_row(&self.protocol, &self.config, &self.config, cat)
     }
 
-    /// Fills `rows` with the per-category productive weights and `sums`
-    /// with the productive initiator sums `S_cat` for the current counts,
-    /// and returns the row total.  A pure function of the configuration.
-    fn fill_table(&self, rows: &mut Vec<u128>, sums: &mut Vec<u64>) -> u128 {
-        let k = self.config.num_opinions();
-        rows.clear();
-        sums.clear();
-        let mut total: u128 = 0;
-        for cat in 0..=k {
-            let row = self
-                .protocol
-                .productive_responder_weight(&self.config, cat)
-                .unwrap_or_else(|| self.enumerated_row(cat));
-            let sum = match &self.matrix {
-                Some(matrix) => (0..=k)
-                    .filter(|&i| matrix[cat * (k + 1) + i])
-                    .map(|i| self.config.category_count(i))
-                    .sum(),
-                // Without the matrix, `row = c_cat · S_cat` is the only
-                // source of `S_cat`; an empty category's row is 0 and is
-                // never drawn.
-                None => match u128::from(self.config.category_count(cat)) {
-                    0 => 0,
-                    c => u64::try_from(row / c).expect("S_cat counts agents, so it fits u64"),
-                },
-            };
-            rows.push(row);
-            sums.push(sum);
-            total += row;
-        }
-        #[cfg(feature = "exhaustive-checks")]
-        self.cross_check_rows(rows, total);
-        total
-    }
-
     /// Asserts `rows`/`total` for the current counts against direct
-    /// enumeration — the ground truth for both the closed-form hooks and the
-    /// incremental patch.  `O(k²)`: debug builds run it on a sample of
+    /// enumeration — the ground truth for the closed-form kernel and the
+    /// protocol hooks alike.  `O(k²)`: debug builds run it on a sample of
     /// refreshes (every 64th); the `exhaustive-checks` feature on every one.
     #[cfg(any(debug_assertions, feature = "exhaustive-checks"))]
     fn cross_check_rows(&self, rows: &[u128], total: u128) {
@@ -650,82 +732,56 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
         );
     }
 
-    /// Whether this refresh is one of the sampled debug cross-checks.
-    #[cfg(any(debug_assertions, feature = "exhaustive-checks"))]
-    fn should_cross_check(&self) -> bool {
-        cfg!(feature = "exhaustive-checks") || self.refreshes.is_multiple_of(64)
-    }
-
-    /// Rebuilds `rows`, `sums` and `total` from the full counts.
-    fn rebuild_rows(&mut self) -> u128 {
-        let mut rows = std::mem::take(&mut self.rows);
-        let mut sums = std::mem::take(&mut self.sums);
-        let total = self.fill_table(&mut rows, &mut sums);
-        self.rows = rows;
-        self.sums = sums;
-        self.total = total;
-        self.rows_valid = true;
+    /// Counts one refresh of the maintained state (`patched`: an `O(1)`
+    /// closed-form update; else a rebuild from the counts) and runs the
+    /// sampled debug cross-check on it.
+    fn note_refresh(&mut self, patched: bool) {
+        self.valid = true;
         self.refreshes += 1;
-        self.stats.rows_rebuilt += 1;
-        #[cfg(any(debug_assertions, feature = "exhaustive-checks"))]
-        if self.should_cross_check() {
-            let rows = std::mem::take(&mut self.rows);
-            self.cross_check_rows(&rows, total);
-            self.rows = rows;
-        }
-        total
-    }
-
-    /// The row total for the current counts, from the maintained table when
-    /// it is valid and from a full rebuild otherwise.
-    fn ensure_rows(&mut self) -> u128 {
-        if self.rows_valid {
-            self.total
+        if patched {
+            self.stats.rows_patched += 1;
         } else {
-            self.rebuild_rows()
+            self.stats.rows_rebuilt += 1;
+        }
+        #[cfg(any(debug_assertions, feature = "exhaustive-checks"))]
+        if cfg!(feature = "exhaustive-checks") || self.refreshes.is_multiple_of(64) {
+            match &self.kernel {
+                Some(kernel) if self.incremental => {
+                    assert_eq!(
+                        (kernel.decided, kernel.sum_sq),
+                        (self.config.decided(), self.config.sum_of_squares()),
+                        "closed-form running sums drifted at {}",
+                        self.config
+                    );
+                    let n = self.config.population();
+                    self.cross_check_rows(&kernel.rows(&self.config), kernel.total(n));
+                }
+                _ => self.cross_check_rows(&self.rows, self.rows.iter().sum()),
+            }
         }
     }
 
-    /// Patches `sums`, `rows` and `total` across an applied `from → to` move
-    /// (the delta rule; see the module docs), or invalidates the table when
-    /// the protocol opted out or maintenance is disabled.
-    fn apply_row_delta(&mut self, from: AgentState, to: AgentState) {
-        let Some(matrix) = &self.matrix else {
-            self.rows_valid = false;
-            return;
-        };
-        if !self.incremental {
-            self.rows_valid = false;
-            return;
-        }
-        let k = self.config.num_opinions();
-        let from_cat = from.category(k);
-        let to_cat = to.category(k);
-        let mut total = 0u128;
-        for cat in 0..=k {
-            let base = cat * (k + 1);
-            let mut s = self.sums[cat];
-            if matrix[base + to_cat] {
-                s += 1;
+    /// The productive weight for the current counts: `n·D − Q` from the
+    /// running sums on the closed-form path, the sum of the row table
+    /// otherwise.  Rebuilds whichever is stale first.
+    fn ensure_total(&mut self) -> u128 {
+        if !self.valid {
+            match &mut self.kernel {
+                Some(kernel) if self.incremental => kernel.reset(&self.config),
+                _ => {
+                    for cat in 0..self.rows.len() {
+                        self.rows[cat] = self
+                            .protocol
+                            .productive_responder_weight(&self.config, cat)
+                            .unwrap_or_else(|| self.enumerated_row(cat));
+                    }
+                }
             }
-            if matrix[base + from_cat] {
-                debug_assert!(s > 0, "productive initiator sum underflow");
-                s -= 1;
-            }
-            self.sums[cat] = s;
-            let row = u128::from(self.config.category_count(cat)) * u128::from(s);
-            self.rows[cat] = row;
-            total += row;
+            self.note_refresh(false);
         }
-        self.total = total;
-        self.rows_valid = true;
-        self.refreshes += 1;
-        self.stats.rows_patched += 1;
-        #[cfg(any(debug_assertions, feature = "exhaustive-checks"))]
-        if self.should_cross_check() {
-            let rows = std::mem::take(&mut self.rows);
-            self.cross_check_rows(&rows, total);
-            self.rows = rows;
+        match &self.kernel {
+            Some(kernel) if self.incremental => kernel.total(self.config.population()),
+            _ => self.rows.iter().sum(),
         }
     }
 
@@ -742,19 +798,64 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
         self.interactions = limit;
     }
 
-    /// Draws the category pair of the next state-changing event from the
-    /// maintained row table and applies it.  One draw picks the whole
-    /// event: a unit below `total` decomposes as (responder category, responder identity
-    /// within the category, initiator unit); the row scan finds the
-    /// category, and because `row = c_r · S_r` factors into independent
-    /// responder-identity and initiator-weight parts, the remainder modulo
-    /// `S_r` (read from `sums`) is an exact uniform draw of the initiator
-    /// unit.
-    ///
-    /// Returns the applied `(from, to)` responder move and invalidates the
-    /// maintained row table (callers on the incremental path re-validate it
-    /// by patching).
-    fn draw_and_apply_event(&mut self, total: u128) -> (AgentState, AgentState) {
+    /// Draws the next state-changing event and applies it.  One uniform
+    /// unit below `total` picks the whole event: it decomposes as
+    /// (responder category, responder identity within the category,
+    /// initiator unit).  The row scan finds the category; because
+    /// `row = c_r · S_r` factors into independent responder-identity and
+    /// initiator-weight parts, the remainder modulo `S_r` is an exact
+    /// uniform draw of the initiator unit.  The closed-form and table paths
+    /// consume the same random numbers and resolve units in the same
+    /// category order, so they pick the same event.
+    fn draw_and_apply_event(&mut self, total: u128) {
+        match &mut self.kernel {
+            Some(kernel) if self.incremental => {
+                let supports = self.config.supports();
+                let (responder_cat, mut itarget) = if kernel.narrow {
+                    let target = uniform_u64_below(&mut self.rng, total as u64);
+                    locate_responder(supports, kernel.decided, target)
+                } else {
+                    let target = uniform_u128_below(&mut self.rng, total);
+                    locate_responder(supports, kernel.decided, target)
+                };
+                let k = supports.len();
+                let responder = AgentState::from_category(responder_cat, k);
+                let to = kernel.fixed[responder_cat].unwrap_or_else(|| {
+                    // The productive initiators: every decided category but
+                    // the responder's own.
+                    let mut initiator = k;
+                    for (i, &x) in supports.iter().enumerate() {
+                        if i == responder_cat {
+                            continue;
+                        }
+                        if itarget < x {
+                            initiator = i;
+                            break;
+                        }
+                        itarget -= x;
+                    }
+                    debug_assert!(initiator < k, "initiator unit beyond S_r");
+                    self.protocol
+                        .respond(responder, AgentState::decided(initiator))
+                });
+                debug_assert_ne!(to, responder, "sampled event must be productive");
+                self.config
+                    .apply_move(responder, to)
+                    .expect("transition produced an inconsistent move");
+                kernel.apply(&self.config, responder, to);
+                self.note_refresh(true);
+            }
+            _ => {
+                self.draw_from_table(total);
+                self.valid = false;
+            }
+        }
+    }
+
+    /// The table path of [`Self::draw_and_apply_event`]: scans the rebuilt
+    /// rows, derives `S_r = row_r / c_r`, and resolves the initiator unit by
+    /// asking the protocol which categories are productive.
+    fn draw_from_table(&mut self, total: u128) {
         let k = self.config.num_opinions();
         let mut target = uniform_u128_below(&mut self.rng, total);
         let mut responder_cat = k;
@@ -766,17 +867,12 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
             target -= row;
         }
         let responder = AgentState::from_category(responder_cat, k);
-        debug_assert!(self.config.category_count(responder_cat) > 0);
-        let initiator_total = self.sums[responder_cat];
-        // The 64-bit remainder serves every population up to ~4·10⁹, whose
-        // weights fit u64; the remainder is below `S_r`, so it fits u64.
-        let mut itarget = match u64::try_from(target) {
-            Ok(t) => t % initiator_total,
-            Err(_) => (target % u128::from(initiator_total)) as u64,
-        };
+        let count = u128::from(self.config.category_count(responder_cat));
+        debug_assert!(count > 0);
+        let initiator_total = self.rows[responder_cat] / count;
+        let mut itarget =
+            u64::try_from(target % initiator_total).expect("S_r counts agents, so it fits u64");
 
-        // Resolve the initiator unit to a category, restricted to categories
-        // whose interaction with this responder is productive.
         let mut initiator = AgentState::Undecided;
         for i in 0..=k {
             let c_i = self.config.category_count(i);
@@ -799,11 +895,9 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
         self.config
             .apply_move(responder, new_responder)
             .expect("transition produced an inconsistent move");
-        self.rows_valid = false;
-        (responder, new_responder)
     }
 
-    /// Captures this engine's resumable state.  The maintained row table is
+    /// Captures this engine's resumable state.  The maintained row state is
     /// *not* captured: it is a pure function of the counts and the first
     /// event after restore rebuilds it bit-identically (showing up as one
     /// extra `rows_rebuilt` in the restored run's maintenance counters).
@@ -876,7 +970,7 @@ impl<P: OpinionProtocol> BatchedEngine<P> {
     #[must_use]
     pub fn productive_probability(&mut self) -> f64 {
         let n = self.config.population() as f64;
-        let total = self.ensure_rows();
+        let total = self.ensure_total();
         total as f64 / (n * n)
     }
 }
@@ -911,7 +1005,7 @@ impl<P: OpinionProtocol> StepEngine for BatchedEngine<P> {
         if self.interactions >= limit {
             return Advance::LimitReached;
         }
-        let total = self.ensure_rows();
+        let total = self.ensure_total();
         if total == 0 {
             self.forward_to(limit);
             return Advance::Absorbed;
@@ -927,8 +1021,7 @@ impl<P: OpinionProtocol> StepEngine for BatchedEngine<P> {
             return Advance::LimitReached;
         };
         self.record_event_interactions(skip);
-        let (from, to) = self.draw_and_apply_event(total);
-        self.apply_row_delta(from, to);
+        self.draw_and_apply_event(total);
         Advance::Event
     }
 }
@@ -1119,7 +1212,7 @@ mod tests {
         }
     }
 
-    /// `Usd2Plain` with the delta rule disabled (exercises the
+    /// `Usd2Plain` without a productivity matrix (exercises the
     /// rebuild-every-event fallback for protocols that opt out).
     #[derive(Debug)]
     struct Usd2NoDelta;
@@ -1171,6 +1264,73 @@ mod tests {
         let fallback = opted_out.maintenance_stats();
         assert_eq!(fallback.rows_patched, 0);
         assert!(fallback.rows_rebuilt >= events);
+    }
+
+    /// A 3-cycle adopt rule: opinion `a` adopts `a + 1 (mod 3)` from an
+    /// initiator holding it, and undecided agents adopt any opinion.  Its
+    /// productivity matrix is not the USD's shape.
+    #[derive(Debug)]
+    struct CycleAdopt;
+
+    impl OpinionProtocol for CycleAdopt {
+        fn num_opinions(&self) -> usize {
+            3
+        }
+        fn respond(&self, r: AgentState, i: AgentState) -> AgentState {
+            match (r, i) {
+                (AgentState::Decided(a), AgentState::Decided(b))
+                    if b.index() == (a.index() + 1) % 3 =>
+                {
+                    i
+                }
+                (AgentState::Undecided, AgentState::Decided(_)) => i,
+                _ => r,
+            }
+        }
+    }
+
+    #[test]
+    fn other_matrix_shapes_rebuild_and_match_the_reference() {
+        let config = Configuration::from_counts(vec![300, 200, 100], 50).unwrap();
+        let mut engine = BatchedEngine::new(CycleAdopt, config.clone(), SimSeed::from_u64(13));
+        let mut reference = BatchedEngine::new(CycleAdopt, config, SimSeed::from_u64(13));
+        reference.set_incremental_rows(false);
+        assert!(
+            engine.kernel.is_none(),
+            "a 3-cycle must not take the closed form"
+        );
+        let limit = 2_000_000;
+        let mut events = 0u64;
+        loop {
+            let a = engine.advance(limit);
+            assert_eq!(a, reference.advance(limit));
+            assert_eq!(engine.configuration(), reference.configuration());
+            assert_eq!(engine.interactions(), reference.interactions());
+            if a != Advance::Event {
+                break;
+            }
+            events += 1;
+        }
+        assert!(events > 100, "run too short: {events} events");
+        let stats = engine.maintenance_stats();
+        assert_eq!(stats, reference.maintenance_stats());
+        assert_eq!((stats.rows_patched, stats.rows_rebuilt), (0, events + 1));
+    }
+
+    #[test]
+    fn closed_form_is_detected_from_the_matrix() {
+        let config = Configuration::from_counts(vec![10, 10], 0).unwrap();
+        let usd = BatchedEngine::new(Usd2Plain, config.clone(), SimSeed::from_u64(1));
+        let kernel = usd
+            .kernel
+            .as_ref()
+            .expect("the USD has the closed-form shape");
+        // Decided USD responders always become undecided; undecided ones
+        // adopt the initiator's opinion.
+        let undecided = Some(AgentState::Undecided);
+        assert_eq!(kernel.fixed, [undecided, undecided, None]);
+        let opted_out = BatchedEngine::new(Usd2NoDelta, config, SimSeed::from_u64(1));
+        assert!(opted_out.kernel.is_none());
     }
 
     #[test]

@@ -32,8 +32,9 @@
 //! Whether a replica shares is a property of its type
 //! ([`EnsembleReplica::compute_shared`]), never a caller's choice.
 //! [`BatchedEngine`] replicas — and so every USD ensemble — never share:
-//! the batched engine patches its `O(k)` row table in place per event,
-//! which no counts-keyed lookup can beat, so all their windows are dormant.
+//! the batched engine keeps its rows in `O(1)` per event (its closed-form
+//! kernel), which no counts-keyed lookup can beat, so all their windows are
+//! dormant.
 //! Replica types that share run an adaptive policy, because no fixed rule
 //! is right for them: a stretch of 4096 lookups whose hit rate falls below
 //! 75% turns the map dormant for a number of windows that backs off
@@ -196,8 +197,8 @@ pub trait EnsembleReplica: StepEngine {
 #[derive(Debug)]
 pub enum Unshared {}
 
-/// Batched replicas never share: [`BatchedEngine`] patches its `O(k)` row
-/// table in place per event, which no counts-keyed lookup can beat.
+/// Batched replicas never share: [`BatchedEngine`] keeps its rows in `O(1)`
+/// per event, which no counts-keyed lookup can beat.
 impl<P: OpinionProtocol> EnsembleReplica for BatchedEngine<P> {
     type Shared = Unshared;
 

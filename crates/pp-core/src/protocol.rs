@@ -83,14 +83,11 @@ pub trait OpinionProtocol {
     /// opinions, `k` is `⊥`; `c` is the category count).  Dividing by `n²`
     /// gives the probability that the next interaction is null.
     ///
-    /// This is the opt-in hook for [`crate::engine::BatchedEngine`]'s
-    /// skip-ahead: protocols with a closed form (USD, Voter) override it so
-    /// the engine can compute the null probability in `O(k)` instead of
-    /// enumerating all `(k+1)²` category pairs.  The conservative default
-    /// returns `None`, meaning "no closed form known" — the engine then
-    /// derives the weight by enumeration, which is exact but `O(k²)` per
-    /// state-changing event.  Overrides must match the enumeration exactly;
-    /// the engine cross-checks this in debug builds.
+    /// Protocols with a closed form (USD, Voter) override it as a checked
+    /// statement of their null weight: [`crate::engine::BatchedEngine`]
+    /// compares it against enumeration in its debug cross-check.  The
+    /// conservative default returns `None`, meaning "no closed form known".
+    /// Overrides must match the enumeration exactly.
     fn null_interaction_weight(&self, config: &Configuration) -> Option<u128> {
         let _ = config;
         None
@@ -101,11 +98,12 @@ pub trait OpinionProtocol {
     ///
     /// Companion hook to
     /// [`null_interaction_weight`](OpinionProtocol::null_interaction_weight):
-    /// the batched engine samples the responder category of the next
-    /// state-changing event proportionally to these weights.  The
-    /// conservative default returns `None` (engine enumerates in `O(k)` per
-    /// category); closed-form overrides bring one event down to `O(k)`
-    /// total.
+    /// when the batched engine rebuilds its row table (protocols without
+    /// the USD's productivity shape, and the rebuild reference), it samples
+    /// the responder category of the next state-changing event
+    /// proportionally to these weights.  The conservative default returns
+    /// `None` (engine enumerates in `O(k)` per category); closed-form
+    /// overrides bring one rebuild down to `O(k)` total.
     fn productive_responder_weight(
         &self,
         config: &Configuration,
@@ -115,27 +113,24 @@ pub trait OpinionProtocol {
         None
     }
 
-    /// The productivity table behind the *delta rule* for incremental row
-    /// maintenance: a flat row-major `(k+1)×(k+1)` boolean matrix whose entry
-    /// `[cat·(k+1) + i]` says whether an initiator in category `i` changes a
-    /// responder in category `cat` (categories `0..k` are the opinions, `k`
-    /// is `⊥`).
+    /// The productivity table: a flat row-major `(k+1)×(k+1)` boolean
+    /// matrix whose entry `[cat·(k+1) + i]` says whether an initiator in
+    /// category `i` changes a responder in category `cat` (categories `0..k`
+    /// are the opinions, `k` is `⊥`).
     ///
     /// Because [`respond`](OpinionProtocol::respond) is a pure function of
-    /// the two agent states, productivity is independent of the counts, so
-    /// the per-category row weight factors as `row_cat = c_cat · S_cat` with
-    /// `S_cat = Σ_{i : matrix[cat][i]} c_i`.  A state-changing event moves
-    /// exactly one agent `from → to`, which shifts every `S_cat` by
-    /// `[matrix[cat][to]] − [matrix[cat][from]]` — the engine patches its
-    /// row table in `O(k)` exact integer adds per event, with no protocol
-    /// calls, and the patched table is bit-identical to a full rebuild.
+    /// the two agent states, productivity is independent of the counts.
+    /// [`crate::engine::BatchedEngine`] reads the matrix once, at
+    /// construction: when it has the USD's shape (productive exactly when
+    /// the initiator is decided and in another category) the engine draws
+    /// every event from the closed form `n·D − Σx²` with `O(1)` upkeep;
+    /// any other matrix rebuilds the row table before every event.
     ///
-    /// The default derives the matrix from `respond` once per engine, so
-    /// every `OpinionProtocol` opts into incremental maintenance
-    /// automatically.  Return `None` only if productivity is *not* a pure
-    /// function of the category pair (e.g. a protocol whose `respond`
-    /// consults interior mutability); the engine then rebuilds the rows from
-    /// the counts on every event, as before.
+    /// The default derives the matrix from `respond`, so every
+    /// `OpinionProtocol` of that shape gets the closed form automatically.
+    /// Return `None` only if productivity is *not* a pure function of the
+    /// category pair (e.g. a protocol whose `respond` consults interior
+    /// mutability); the engine then rebuilds the rows on every event.
     fn productivity_matrix(&self) -> Option<Vec<bool>> {
         let k = self.num_opinions();
         let mut matrix = vec![false; (k + 1) * (k + 1)];

@@ -36,10 +36,12 @@ impl RunOutcome {
 /// paying the full per-event law cost the incremental layer exists to avoid.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MaintenanceStats {
-    /// Row tables updated in place by applying the event's `(from, to)` delta.
+    /// Row state updated in `O(1)` across the event's `(from, to)` move
+    /// (the batched engine's closed-form running sums).
     pub rows_patched: u64,
-    /// Row tables recomputed from the full counts (first event, invalidation
-    /// after external count edits, or a protocol without the delta rule).
+    /// Row state recomputed from the full counts (first event, invalidation
+    /// after external count edits, the rebuild reference, or a protocol
+    /// without the USD's productivity shape).
     pub rows_rebuilt: u64,
     /// Activation laws updated in place across a `±1` counts change.
     pub law_patches: u64,
@@ -65,7 +67,7 @@ impl MaintenanceStats {
         self.law_fallback_rebuilds += other.law_fallback_rebuilds;
     }
 
-    /// Fraction of row-table refreshes served by the incremental patch, if
+    /// Fraction of row-state refreshes served by the incremental path, if
     /// any refresh happened.
     #[must_use]
     pub fn rows_patched_fraction(&self) -> Option<f64> {
@@ -200,9 +202,11 @@ impl RunResult {
         self
     }
 
-    /// The engine's unified metrics snapshot for this run (the one-surface
-    /// replacement for the bespoke `rejection_misses` / `maintenance`
-    /// accessors, which remain as deprecated-in-spirit aliases).
+    /// The engine's unified metrics snapshot for this run: every counter
+    /// the engine keeps, under its registry name.  The typed
+    /// [`rejection_misses`](Self::rejection_misses) and
+    /// [`maintenance`](Self::maintenance) accessors read the same counters
+    /// without a name lookup.
     #[must_use]
     pub fn telemetry(&self) -> Option<&MetricsSnapshot> {
         self.telemetry.as_ref()

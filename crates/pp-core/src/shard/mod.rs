@@ -541,7 +541,7 @@ impl<P: OpinionProtocol + Clone + Send> StepEngine for ShardedEngine<P> {
     /// Sums the per-shard engines' patch/rebuild counters.  Intra-shard
     /// windows patch incrementally inside each [`BatchedEngine`]; the
     /// cross-block reconciler edits counts through `parts_mut`, which
-    /// invalidates the shard's row table and shows up here as rebuilds.
+    /// invalidates the shard's row state and shows up here as rebuilds.
     fn maintenance(&self) -> Option<MaintenanceStats> {
         let mut stats = MaintenanceStats::default();
         for shard in &self.shards {

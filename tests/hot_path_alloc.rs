@@ -2,9 +2,9 @@
 //!
 //! A counting global allocator (delegating to [`System`]) tallies the heap
 //! allocations the test thread makes while it drives 10⁴ consecutive
-//! `advance` calls of the batched engine, and of the hybrid engine held at
-//! stochastic fidelity, where every call also evaluates the fidelity
-//! detector.  Both tallies must be zero.
+//! `advance` calls of the batched engine (USD and pairwise Voter), and of
+//! the hybrid engine held at stochastic fidelity, where every call also
+//! evaluates the fidelity detector.  Every tally must be zero.
 //!
 //! Debug builds cross-check a sample of row tables against enumeration
 //! inside `advance`, which may allocate, so the zero assertions hold for
@@ -13,6 +13,7 @@
 //! This file is its own test binary because a `#[global_allocator]` needs
 //! `unsafe impl GlobalAlloc`, which the library crates forbid.
 
+use consensus_dynamics::PairwiseVoter;
 use pp_core::engine::{Advance, StepEngine};
 use pp_core::{BatchedEngine, Configuration, FidelityConfig, SimSeed};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -98,7 +99,7 @@ fn batched_advance_does_not_allocate() {
     let config = Configuration::uniform(100_000, 8).unwrap();
     let mut engine =
         BatchedEngine::new(UndecidedStateDynamics::new(8), config, SimSeed::from_u64(1));
-    // The first call builds the row table from the counts.
+    // The first call derives the running sums from the counts.
     assert_eq!(engine.advance(u64::MAX), Advance::Event);
     let allocations = allocations_in(|| {
         for _ in 0..CALLS {
@@ -106,6 +107,21 @@ fn batched_advance_does_not_allocate() {
         }
     });
     assert_allocation_free("batched", allocations);
+}
+
+#[test]
+fn batched_voter_advance_does_not_allocate() {
+    // The pairwise Voter's decided rows depend on the initiator, so every
+    // draw resolves one and asks the protocol for the new state.
+    let config = Configuration::from_counts(vec![30_000, 30_000, 20_000, 20_000], 0).unwrap();
+    let mut engine = BatchedEngine::new(PairwiseVoter::new(4), config, SimSeed::from_u64(3));
+    assert_eq!(engine.advance(u64::MAX), Advance::Event);
+    let allocations = allocations_in(|| {
+        for _ in 0..CALLS {
+            assert_eq!(engine.advance(u64::MAX), Advance::Event);
+        }
+    });
+    assert_allocation_free("batched voter", allocations);
 }
 
 #[test]

@@ -1,39 +1,47 @@
 //! Bit-exactness of the incremental maintenance layer.
 //!
-//! PR 6 put an `O(delta)` update path under every per-event law computation:
-//! `BatchedEngine` patches its productive-row table across each applied
-//! event, the j-Majority and MedianRule activation laws are patched in their
-//! thread-local memos (where a lockstep ensemble's missed shared laws are
-//! derived from the memo's cached neighbour by delta replay).  All of it
-//! claims exact equality — every maintained weight is an integer, so a
-//! patched law is *bit-identical* to a rebuilt one.  This suite drives that claim with
-//! random event sequences:
+//! Every per-event law computation has an incremental path under it:
+//! `BatchedEngine` draws USD-shaped events from the closed form
+//! `n·D − Σx²` with `O(1)` running sums, and the j-Majority and MedianRule
+//! activation laws are patched in their thread-local memos (where a
+//! lockstep ensemble's missed shared laws are derived from the memo's
+//! cached neighbour by delta replay).  All of it claims exact equality —
+//! every maintained weight is an integer, so the incremental path is
+//! *bit-identical* to a rebuild.  This suite drives that claim with random
+//! event sequences:
 //!
-//! * **Row tables** — USD batched engines with patching on vs off advance in
-//!   lockstep over random configurations; configurations, interaction
-//!   counters and advance outcomes must agree at every event, and the
-//!   maintenance counters must attribute the work to the right path.
+//! * **Row tables** — USD and pairwise-Voter batched engines with the
+//!   closed-form kernel on vs off advance in lockstep over random
+//!   configurations and edge cases; configurations, interaction counters
+//!   and advance outcomes must agree at every event, and the maintenance
+//!   counters must attribute the work to the right path.
+//! * **Kernel goldens** — USD k = 8 and k = 2 runs to consensus and a
+//!   pairwise-Voter run pin interactions, final counts and every engine
+//!   counter to numbers recorded before the closed-form kernel existed, so
+//!   a slip that moves both twins alike still fails.
 //! * **Activation laws** — all five sampling dynamics × k ∈ {2, 4, 8}:
 //!   twin runs with incremental laws on vs off (each on a fresh thread, so
 //!   each twin starts from a cold memo and cannot mask the other's bugs by
 //!   sharing it) must produce equal results and identical recorded
 //!   trajectories.
-//! * **Ensemble replicas** — the USD's per-replica row patching and the
+//! * **Ensemble replicas** — the USD's per-replica closed-form kernel and the
 //!   3-Majority's memo-derived shared laws at random replica/thread counts
 //!   must leave every replica bit-identical to its standalone same-seed
 //!   run.
 //!
 //! The CI incremental-equivalence step re-runs this suite with
-//! `--features exhaustive-checks`, which additionally rebuilds and compares
-//! every patched table inside the engines themselves on every refresh.
+//! `--features exhaustive-checks`, which additionally checks the kernel's
+//! running sums and rows against enumeration, and every patched law against
+//! a rebuild, inside the engines themselves on every refresh.  The CI
+//! batched-kernel step runs the goldens alone in release.
 
 use consensus_dynamics::{
-    sampler_ensemble, set_incremental_laws, JMajority, MedianRule, SamplingDynamics,
+    sampler_ensemble, set_incremental_laws, JMajority, MedianRule, PairwiseVoter, SamplingDynamics,
     SequentialSampler, ThreeMajority, TwoChoices, Voter,
 };
 use pp_core::engine::{Advance, StepEngine};
 use pp_core::ensemble::EnsembleChoice;
-use pp_core::{BatchedEngine, Configuration, RunResult, SimSeed, StopCondition};
+use pp_core::{BatchedEngine, Configuration, OpinionProtocol, RunResult, SimSeed, StopCondition};
 use proptest::prelude::*;
 use usd_core::{UndecidedStateDynamics, UsdEnsemble};
 
@@ -91,57 +99,72 @@ fn assert_law_twins_agree<D: SamplingDynamics + Clone + Send + 'static>(
     Ok(())
 }
 
+/// Twin batched engines, closed-form kernel on vs off (the rebuild
+/// reference), advanced in lockstep to a fixed limit: outcomes,
+/// configurations and interaction counters must agree at every event, and
+/// the counters must attribute the work to the right path.
+fn assert_row_twins_agree<P: OpinionProtocol + Clone>(
+    protocol: P,
+    config: &Configuration,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let seed = SimSeed::from_u64(seed);
+    let mut patched = BatchedEngine::new(protocol.clone(), config.clone(), seed);
+    let mut rebuilt = BatchedEngine::new(protocol, config.clone(), seed);
+    rebuilt.set_incremental_rows(false);
+    let limit = 300_000u64;
+    let mut events = 0u64;
+    loop {
+        let a = patched.advance(limit);
+        let b = rebuilt.advance(limit);
+        prop_assert_eq!(a, b, "advance outcomes diverged after {} events", events);
+        prop_assert_eq!(
+            StepEngine::configuration(&patched),
+            StepEngine::configuration(&rebuilt),
+            "configurations diverged after {} events from {}",
+            events,
+            config
+        );
+        prop_assert_eq!(patched.interactions(), rebuilt.interactions());
+        if a != Advance::Event {
+            break;
+        }
+        events += 1;
+    }
+    let patched_stats = patched.maintenance_stats();
+    let rebuilt_stats = rebuilt.maintenance_stats();
+    prop_assert_eq!(
+        (patched_stats.rows_rebuilt, patched_stats.rows_patched),
+        (1, events)
+    );
+    prop_assert_eq!(
+        rebuilt_stats.rows_patched,
+        0,
+        "the reference must never patch"
+    );
+    prop_assert!((events..=events + 1).contains(&rebuilt_stats.rows_rebuilt));
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// USD batched engines with row patching on vs off, advanced in
-    /// lockstep: every advance outcome, configuration and counter must
-    /// agree, at every event of the random trajectory.
+    /// USD and pairwise-Voter batched engines with the closed-form kernel
+    /// on vs off, advanced in lockstep: every advance outcome,
+    /// configuration and counter must agree, at every event of the random
+    /// trajectory.  The Voter's decided rows depend on the initiator, so
+    /// its draws always resolve one.
     #[test]
     fn usd_incremental_rows_match_rebuilds_at_every_event(
-        counts in collection::vec(0u64..60, 2..9),
+        counts in collection::vec(0u64..60, 1..9),
         undecided in 0u64..60,
         seed in 0u64..u64::MAX,
     ) {
         let config = Configuration::from_counts(counts, undecided).unwrap();
         prop_assume!(config.population() >= 2);
         let k = config.num_opinions();
-        let mut patched = BatchedEngine::new(
-            UndecidedStateDynamics::new(k),
-            config.clone(),
-            SimSeed::from_u64(seed),
-        );
-        let mut rebuilt = BatchedEngine::new(
-            UndecidedStateDynamics::new(k),
-            config,
-            SimSeed::from_u64(seed),
-        );
-        rebuilt.set_incremental_rows(false);
-        let limit = 300_000u64;
-        let mut events = 0u64;
-        loop {
-            let a = patched.advance(limit);
-            let b = rebuilt.advance(limit);
-            prop_assert_eq!(a, b, "advance outcomes diverged after {} events", events);
-            prop_assert_eq!(
-                StepEngine::configuration(&patched),
-                StepEngine::configuration(&rebuilt),
-                "configurations diverged after {} events",
-                events
-            );
-            prop_assert_eq!(patched.interactions(), rebuilt.interactions());
-            if a != Advance::Event {
-                break;
-            }
-            events += 1;
-        }
-        let patched_stats = patched.maintenance().expect("batched engines count");
-        let rebuilt_stats = rebuilt.maintenance().expect("batched engines count");
-        prop_assert_eq!(rebuilt_stats.rows_patched, 0, "baseline must never patch");
-        if events > 0 {
-            prop_assert!(patched_stats.rows_patched >= events.saturating_sub(1));
-            prop_assert!(patched_stats.rows_rebuilt <= 1 + events);
-        }
+        assert_row_twins_agree(UndecidedStateDynamics::new(k), &config, seed)?;
+        assert_row_twins_agree(PairwiseVoter::new(k), &config, seed ^ 1)?;
     }
 
     /// All five dynamics × k ∈ {2, 4, 8}: incremental vs rebuilt activation
@@ -208,12 +231,13 @@ proptest! {
     }
 }
 
-/// Row patching at n = 10¹⁰, beyond 2³² agents: the undecided row and the
-/// row total outgrow `u64` while every initiator sum `S_cat ≤ n` still
-/// fits, so the event draw takes the 128-bit bounded draw and, whenever the
-/// target lands past 2⁶⁴ in the undecided row, the 128-bit remainder — which
-/// picks the opinion the responder adopts.  Patched and rebuilt twins must
-/// walk the same trajectory.
+/// The closed-form kernel at n = 10¹⁰, beyond 2³² agents: `n²` outgrows
+/// `u64`, so the kernel takes `u128` weights; the undecided row and the
+/// total outgrow `u64` while every initiator sum `S_r ≤ n` still fits.  The
+/// event draw takes the 128-bit bounded draw and, whenever the target lands
+/// past 2⁶⁴ in the undecided row, the 128-bit remainder — which picks the
+/// opinion the responder adopts.  Kernel and rebuilt twins must walk the
+/// same trajectory.
 #[test]
 fn usd_rows_beyond_two_to_the_32_agents_match_rebuilds() {
     // (start, pinned configuration and interaction count after 400 events).
@@ -270,6 +294,28 @@ fn usd_rows_beyond_two_to_the_32_agents_match_rebuilds() {
     }
 }
 
+/// The closed-form kernel's edge cases against the rebuild reference:
+/// a single opinion, no undecided agents, no decided agents (absorbed at
+/// once), extinct opinions and a consensus start.
+#[test]
+fn closed_form_edge_cases_match_rebuilds() {
+    let cases = [
+        (vec![40u64], 10u64),
+        (vec![30, 20, 10], 0),
+        (vec![0, 0, 0], 40),
+        (vec![0, 25, 0, 15], 5),
+        (vec![50, 0], 0),
+    ];
+    for (counts, undecided) in cases {
+        let config = Configuration::from_counts(counts, undecided).unwrap();
+        let k = config.num_opinions();
+        for seed in 1..=4 {
+            assert_row_twins_agree(UndecidedStateDynamics::new(k), &config, seed).unwrap();
+            assert_row_twins_agree(PairwiseVoter::new(k), &config, seed).unwrap();
+        }
+    }
+}
+
 /// The deterministic smoke version of the law-twin property, so a plain
 /// `cargo test` failure names the dynamic without a proptest shrink.
 #[test]
@@ -296,5 +342,119 @@ fn majority_run_reports_mostly_patched_laws() {
     assert!(
         stats.law_patched_fraction().unwrap() > 0.9,
         "long runs should be overwhelmingly patched: {stats:?}"
+    );
+}
+
+/// What a batched walk left behind: the interaction counter, the final
+/// counts and every counter the engine reports.
+#[derive(Debug, PartialEq, Eq)]
+struct BatchedGolden {
+    interactions: u64,
+    supports: Vec<u64>,
+    undecided: u64,
+    events_drawn: u64,
+    nulls_skipped: u64,
+    table_refreshes: u64,
+    rows_patched: u64,
+    rows_rebuilt: u64,
+}
+
+/// Advances a batched engine until consensus or `max_events` events.
+fn batched_golden<P: OpinionProtocol>(
+    protocol: P,
+    config: Configuration,
+    seed: u64,
+    max_events: u64,
+) -> BatchedGolden {
+    let mut engine = BatchedEngine::new(protocol, config, SimSeed::from_u64(seed));
+    let mut events = 0u64;
+    while events < max_events && !StepEngine::configuration(&engine).is_consensus() {
+        assert_eq!(engine.advance(u64::MAX), Advance::Event);
+        events += 1;
+    }
+    let snap = StepEngine::telemetry(&engine).expect("batched engines report telemetry");
+    let counter = |name: &str| snap.counter(name).expect(name);
+    let end = StepEngine::configuration(&engine);
+    BatchedGolden {
+        interactions: engine.interactions(),
+        supports: end.supports().to_vec(),
+        undecided: end.undecided(),
+        events_drawn: counter("batched.events_drawn"),
+        nulls_skipped: counter("batched.nulls_skipped"),
+        table_refreshes: counter("batched.table_refreshes"),
+        rows_patched: counter("maintenance.rows_patched"),
+        rows_rebuilt: counter("maintenance.rows_rebuilt"),
+    }
+}
+
+// Recorded from the table-patching engine the closed-form kernel replaced,
+// so any slip in the kernel's draw (row order, remainder, initiator scan,
+// `u64`/`u128` boundary) or in its counters shows up as a changed number.
+
+#[test]
+fn batched_kernel_golden_usd_k8_uniform() {
+    // The consensus-k8 shape at n = 2·10⁴, run to consensus.
+    let cases = [
+        (1, 1_314_036, 1, 549_528, 764_508),
+        (2, 1_155_327, 4, 458_654, 696_673),
+    ];
+    for (seed, interactions, winner, events, nulls) in cases {
+        let mut supports = vec![0; 8];
+        supports[winner] = 20_000;
+        let config = Configuration::uniform(20_000, 8).unwrap();
+        assert_eq!(
+            batched_golden(UndecidedStateDynamics::new(8), config, seed, u64::MAX),
+            BatchedGolden {
+                interactions,
+                supports,
+                undecided: 0,
+                events_drawn: events,
+                nulls_skipped: nulls,
+                table_refreshes: events + 1,
+                rows_patched: events,
+                rows_rebuilt: 1,
+            },
+            "seed {seed}"
+        );
+    }
+}
+
+#[test]
+fn batched_kernel_golden_usd_k2_threshold() {
+    // n = 5·10⁴ at additive bias 0.15·√(n ln n) ≈ 110, run to consensus.
+    let config = Configuration::from_counts(vec![25_055, 24_945], 0).unwrap();
+    assert_eq!(
+        batched_golden(UndecidedStateDynamics::new(2), config, 3, u64::MAX),
+        BatchedGolden {
+            interactions: 1_638_336,
+            supports: vec![50_000, 0],
+            undecided: 0,
+            events_drawn: 448_748,
+            nulls_skipped: 1_189_588,
+            table_refreshes: 448_749,
+            rows_patched: 448_748,
+            rows_rebuilt: 1,
+        }
+    );
+}
+
+#[test]
+fn batched_kernel_golden_pairwise_voter_k4() {
+    // The Voter's decided rows adopt the initiator's opinion, so every
+    // draw resolves its initiator; 10⁵ events from a start with undecided
+    // agents, ending with opinion 2 extinct.
+    let config = Configuration::from_counts(vec![300, 200, 150, 100], 50).unwrap();
+    assert_eq!(
+        batched_golden(PairwiseVoter::new(4), config, 4, 100_000),
+        BatchedGolden {
+            interactions: 163_035,
+            supports: vec![191, 106, 0, 503],
+            undecided: 0,
+            events_drawn: 100_000,
+            nulls_skipped: 63_035,
+            table_refreshes: 100_001,
+            rows_patched: 100_000,
+            rows_rebuilt: 1,
+        }
     );
 }
